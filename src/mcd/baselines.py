@@ -101,10 +101,11 @@ def pixel_pvalues(
 
     Binomial: P(X >= y | N, p0) exactly; Poisson: P(X >= y | lam0)
     exactly; Normal: 1 - Phi((y - mu0)/sigma). `null_param` defaults to
-    the same null estimate the statistic uses (median-based for
-    Binomial/Normal, pooled mean for Poisson). `approx=True` switches
-    the two count families to a continuity-corrected normal tail, for
-    cross-checking against the exact computation.
+    the same null estimate the statistic uses: the grid-wide median cell
+    value for every family (of the adjusted proportions for Binomial).
+    `approx=True` switches the two count families to a
+    continuity-corrected normal tail, for cross-checking against the
+    exact computation.
     """
     if null_param is None:
         null_param = estimate_null(grid, model)
@@ -130,7 +131,7 @@ def pixel_pvalues(
     else:
         if not np.isfinite(null_param):
             raise ConfigurationError(f"normal null mean must be finite, got {null_param}")
-        sigma = model.sigma if model.sigma is not None else robust_sigma(grid)
+        sigma = model.sigma if model.sigma is not None else robust_sigma(grid.values)
         p = sps.norm.sf((y - null_param) / sigma)
     return PValueField(values=np.clip(p, 0.0, 1.0))
 
@@ -258,7 +259,7 @@ def circular_scan(
         y_tot = float(y.sum())
         e_tot = float(rows * cols)
         mu0 = y_tot / e_tot
-        sigma = model.sigma if model.sigma is not None else robust_sigma(grid)
+        sigma = model.sigma if model.sigma is not None else robust_sigma(grid.values)
 
     # per-radius zone exposures and the half-exposure eligibility cap;
     # these depend only on the trials map, not the replicate data

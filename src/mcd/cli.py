@@ -48,11 +48,20 @@ from .stats import ModelSpec, stat_field
 from .threshold import neighborhood_variability, scan_thresholds
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse quotes it in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _resolve_seed(flag_value: int | None, config_value: int | None = None) -> int:
@@ -355,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the multiresolution detector on a grid")
     p.add_argument("--ladder", default="square:0,square:5",
                    help="scales, e.g. square:0,square:5 or five-scale")
-    p.add_argument("--threshold-count", type=_positive_int, default=100)
+    p.add_argument("--threshold-count", type=_int_at_least(3), default=100,
+                   help="number of thresholds in the belt ladder (at least 3)")
     p.add_argument("--min-belt-count", default="auto",
                    help="belt occupancy floor for threshold choice (int or 'auto')")
     p.set_defaults(func=_cmd_detect)

@@ -177,6 +177,28 @@ class ScaleLadder:
         return [o for o in outer if o not in inner]
 
 
+# a pixel and its 4 nearest neighbors, the pixel first
+CROSS_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def shifted_slices(shape: tuple[int, int], offsets):
+    """Edge-clipped (dst, src) slice pairs, one per offset that reaches the grid.
+
+    For offset (di, dj), field[src] holds the (i + di, j + dj) neighbors of
+    the pixels field[dst]; pixels whose neighbor falls outside the grid are
+    left out. Offsets that reach no pixel are skipped.
+    """
+    rows, cols = shape
+    pairs = []
+    for di, dj in offsets:
+        i0, i1 = max(0, -di), min(rows, rows - di)
+        j0, j1 = max(0, -dj), min(cols, cols - dj)
+        if i0 < i1 and j0 < j1:
+            pairs.append(((slice(i0, i1), slice(j0, j1)),
+                          (slice(i0 + di, i1 + di), slice(j0 + dj, j1 + dj))))
+    return pairs
+
+
 @dataclass(frozen=True)
 class SummedAreaTable:
     """(rows+1) x (cols+1) prefix sums of a grid.

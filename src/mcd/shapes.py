@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
+from .grid import CROSS_OFFSETS, shifted_slices
 
 SHAPE_KINDS = ("lshape", "oval", "triangle", "yshape", "disc", "custom")
 
@@ -119,15 +120,11 @@ def boundary_partition(truth: np.ndarray):
     4-neighbors) contains cells from both groups.
     """
     truth = np.asarray(truth, dtype=bool)
-    rows, cols = truth.shape
     any_signal = truth.copy()
     any_noise = ~truth
-    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        i0, i1 = max(0, -di), min(rows, rows - di)
-        j0, j1 = max(0, -dj), min(cols, cols - dj)
-        shifted = truth[i0 + di : i1 + di, j0 + dj : j1 + dj]
-        any_signal[i0:i1, j0:j1] |= shifted
-        any_noise[i0:i1, j0:j1] |= ~shifted
+    for dst, src in shifted_slices(truth.shape, CROSS_OFFSETS[1:]):
+        any_signal[dst] |= truth[src]
+        any_noise[dst] |= ~truth[src]
     boundary = any_signal & any_noise
     return ~truth & ~boundary, boundary, truth & ~boundary
 
@@ -135,13 +132,9 @@ def boundary_partition(truth: np.ndarray):
 def boundary_type_counts(truth: np.ndarray) -> dict[int, int]:
     """Histogram of boundary pixels by k = other-group cells in the cross."""
     truth = np.asarray(truth, dtype=bool)
-    rows, cols = truth.shape
     other = np.zeros(truth.shape, dtype=np.int64)
-    for di, dj in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-        i0, i1 = max(0, -di), min(rows, rows - di)
-        j0, j1 = max(0, -dj), min(cols, cols - dj)
-        shifted = truth[i0 + di : i1 + di, j0 + dj : j1 + dj]
-        other[i0:i1, j0:j1] += np.where(truth[i0:i1, j0:j1], ~shifted, shifted)
+    for dst, src in shifted_slices(truth.shape, CROSS_OFFSETS):
+        other[dst] += truth[dst] != truth[src]
     _, boundary, _ = boundary_partition(truth)
     ks = other[boundary]
     return {int(k): int((ks == k).sum()) for k in np.unique(ks)}

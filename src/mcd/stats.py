@@ -11,7 +11,10 @@ The null parameter is the grid-wide median; alternative estimates per
 scale come from the annulus D_r \\ D_{r-1} of the window ladder
 (median of adjusted proportions for Binomial, pooled mean otherwise),
 clipped below by the null estimate so the alternative can only be an
-elevation. Scale weights are increment cardinalities, so a radius-0
+elevation. The Binomial annulus median is exact (it agrees with
+np.median over the enumerated annulus) and is found by rank selection on
+the distinct cell values, in O(rows * cols) memory whatever the annulus
+size. Scale weights are increment cardinalities, so a radius-0
 first scale contributes with weight 1. The chi-square(M) reference law
 for T is recorded as metadata only; thresholding happens elsewhere.
 """
@@ -28,7 +31,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .grid import Grid, ScaleLadder, aggregate_scales, validate_trials
+from .grid import Grid, ScaleLadder, aggregate_scales, shifted_slices, validate_trials
 
 FAMILIES = ("binomial", "poisson", "normal")
 
@@ -158,29 +161,46 @@ def estimate_set(grid: Grid, model: ModelSpec, ladder: ScaleLadder, pixel) -> Es
     return EstimateSet(null_estimate=null, scale_estimates=scales, sigma_used=sigma)
 
 
-def _shifted_stack(field: np.ndarray, offsets) -> np.ndarray:
-    """Stack of copies of `field` shifted by each offset, NaN outside the grid.
+def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarray:
+    """Per pixel, the smallest level index q with more than `rank` annulus cells idx <= q.
 
-    stack[k, i, j] = field[i + di_k, j + dj_k] where defined.
+    Bisection on [0, top]: each probe counts the annulus cells at or below
+    the probe with one compare per offset, so memory stays a few fields.
     """
-    rows, cols = field.shape
-    stack = np.full((len(offsets), rows, cols), np.nan)
-    for k, (di, dj) in enumerate(offsets):
-        i0, i1 = max(0, -di), min(rows, rows - di)
-        j0, j1 = max(0, -dj), min(cols, cols - dj)
-        if i0 < i1 and j0 < j1:
-            stack[k, i0:i1, j0:j1] = field[i0 + di : i1 + di, j0 + dj : j1 + dj]
-    return stack
+    lo = np.zeros(idx.shape, dtype=np.int32)
+    hi = np.full(idx.shape, top, dtype=np.int32)
+    count = np.empty(idx.shape, dtype=np.int32)
+    for _ in range(top.bit_length()):  # ceil(log2(top + 1)) halvings
+        mid = (lo + hi) >> 1
+        count.fill(0)
+        for dst, src in pairs:
+            count[dst] += idx[src] <= mid[dst]
+        above = count > rank
+        np.copyto(hi, mid, where=above)
+        np.copyto(lo, mid + 1, where=~above)
+    return lo
 
 
 def _annulus_median_fields(cellvals: np.ndarray, ladder: ScaleLadder) -> np.ndarray:
-    """Clipped-annulus median of `cellvals` around every pixel, per scale."""
+    """Clipped-annulus median of `cellvals` around every pixel, per scale.
+
+    Exact: the median of c values is the mean of the order statistics of
+    ranks (c-1)//2 and c//2, each selected on the indices of the distinct
+    cell values, so no stack of annulus values is ever built.
+    """
+    levels, idx = np.unique(cellvals, return_inverse=True)
+    idx = idx.reshape(cellvals.shape).astype(np.int32)
     fields = np.empty((ladder.scale_count,) + cellvals.shape)
     for r in range(ladder.scale_count):
-        stack = _shifted_stack(cellvals, ladder.annulus_offsets(r))
-        if np.any(np.isnan(stack).all(axis=0)):
+        pairs = shifted_slices(cellvals.shape, ladder.annulus_offsets(r))
+        size = np.zeros(cellvals.shape, dtype=np.int32)
+        for dst, _ in pairs:
+            size[dst] += 1
+        if np.any(size == 0):
             raise InternalInvariantError(f"annulus {r} clips to empty somewhere on the grid")
-        fields[r] = np.nanmedian(stack, axis=0)
+        q_lo = _rank_level(idx, pairs, (size - 1) // 2, levels.size - 1)
+        q_hi = _rank_level(idx, pairs, size // 2, levels.size - 1)
+        fields[r] = (levels[q_lo] + levels[q_hi]) / 2
     return fields
 
 

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError, NoSignalError
-from .grid import Grid, ScaleLadder
+from .grid import CROSS_OFFSETS, Grid, ScaleLadder, shifted_slices
 from .stats import ModelSpec, StatField, adjusted_proportions, stat_field
-
-NEIGHBOR_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -102,12 +100,9 @@ def neighborhood_variability(grid: Grid, model: ModelSpec) -> VarField:
         cellvals = adjusted_proportions(grid, model.trials)
     else:
         cellvals = np.asarray(grid.values, dtype=float)
-    rows, cols = cellvals.shape
-    stack = np.full((len(NEIGHBOR_OFFSETS), rows, cols), np.nan)
-    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
-        i0, i1 = max(0, -di), min(rows, rows - di)
-        j0, j1 = max(0, -dj), min(cols, cols - dj)
-        stack[k, i0:i1, j0:j1] = cellvals[i0 + di : i1 + di, j0 + dj : j1 + dj]
+    stack = np.full((len(CROSS_OFFSETS),) + cellvals.shape, np.nan)
+    for k, (dst, src) in enumerate(shifted_slices(cellvals.shape, CROSS_OFFSETS)):
+        stack[k][dst] = cellvals[src]
     return VarField(values=np.nanvar(stack, axis=0, ddof=1))
 
 

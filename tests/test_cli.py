@@ -67,6 +67,12 @@ class TestDetect:
         assert run("detect", FIXTURE, "--family", "binomial",
                    "--min-belt-count", "soon", "--out-dir", tmp_path) == 2
 
+    def test_threshold_count_below_3_exits_2(self, tmp_path, capsys):
+        assert run("detect", FIXTURE, "--family", "binomial",
+                   "--threshold-count", "2", "--out-dir", tmp_path) == 2
+        assert "--threshold-count: must be >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "stat.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -154,6 +160,30 @@ class TestScanFdr:
         assert payload["rejected"] > 0
         pvals, _ = read_grid_csv(out / "pvalues.csv")
         assert pvals.values.min() >= 0.0 and pvals.values.max() <= 1.0
+
+    def write_normal(self, tmp_path):
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=(20, 20))
+        values[6:12, 6:12] += 3.0
+        path = tmp_path / "normal.csv"
+        write_grid_csv(path, Grid(values))
+        return path
+
+    def test_fdr_normal_estimates_sigma(self, tmp_path):
+        import json
+
+        out = tmp_path / "out"
+        assert run("fdr", self.write_normal(tmp_path), "--family", "normal",
+                   "--alpha", "0.1", "--out-dir", out) == 0
+        assert json.loads((out / "fdr.json").read_text())["rejected"] > 0
+
+    def test_scan_normal_estimates_sigma(self, tmp_path):
+        import json
+
+        out = tmp_path / "out"
+        assert run("scan", self.write_normal(tmp_path), "--family", "normal",
+                   "--radii", "1-3", "--mc-reps", "19", "--out-dir", out) == 0
+        assert json.loads((out / "scan.json").read_text())["clusters"]
 
     def test_fdr_requires_alpha(self):
         assert run("fdr", FIXTURE, "--family", "binomial") == 2

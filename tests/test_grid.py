@@ -13,6 +13,7 @@ from mcd.grid import (
     WindowSpec,
     aggregate_scales,
     build_sat,
+    shifted_slices,
     window_sum,
     window_sum_field,
 )
@@ -256,3 +257,19 @@ def test_rect_sum_is_summed_area_identity():
     assert isinstance(sat, SummedAreaTable)
     assert sat.rect_sum(0, 2, 0, 3) == values.sum()
     assert sat.rect_sum(1, 1, 2, 2) == values[1, 2]
+
+
+def test_shifted_slices_pair_each_pixel_with_its_neighbor():
+    field = np.arange(20).reshape(4, 5)
+    offsets = [(0, 0), (1, -2), (-3, 4), (4, 0), (0, -5)]
+    pairs = shifted_slices(field.shape, offsets)
+    assert len(pairs) == 3  # (4, 0) and (0, -5) reach no pixel
+    for (di, dj), (dst, src) in zip(offsets, pairs):
+        want = np.full(field.shape, -1)
+        for i in range(4):
+            for j in range(5):
+                if 0 <= i + di < 4 and 0 <= j + dj < 5:
+                    want[i, j] = field[i + di, j + dj]
+        got = np.full(field.shape, -1)
+        got[dst] = field[src]
+        np.testing.assert_array_equal(got, want)

@@ -1,0 +1,112 @@
+"""Binomial annulus median: exact agreement with enumeration, and linear memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mcd.errors import InternalInvariantError, InvalidInputError
+from mcd.grid import Grid, ScaleLadder, WindowSpec
+from mcd.stats import ModelSpec, _annulus_median_fields, adjusted_proportions, stat_field
+from oracles import annulus_cells
+
+# Peak traced bytes per cell allowed for the binomial statistic on the
+# default ladder. The rank selection peaks near 170 B/cell at 300x300; the
+# NaN-padded (120, rows, cols) stack it replaced peaked near 4,300 B/cell.
+STAT_BYTES_PER_CELL = 400
+
+
+def enumerated_medians(cellvals, ladder):
+    """Per-pixel np.median over the in-grid annulus cells, or None if one is empty."""
+    rows, cols = cellvals.shape
+    out = np.empty((ladder.scale_count, rows, cols))
+    for r in range(ladder.scale_count):
+        for i in range(rows):
+            for j in range(cols):
+                cells = annulus_cells(ladder, (i, j), r, cellvals.shape)
+                if not cells:
+                    return None
+                out[r, i, j] = np.median([cellvals[c] for c in cells])
+    return out
+
+
+@st.composite
+def ladders(draw):
+    """Nested ladders of up to four windows: square, circle or mixed."""
+    count = draw(st.integers(1, 4))
+    radii = [0] + sorted(draw(st.sets(st.integers(1, 6), min_size=count - 1, max_size=count - 1)))
+    shapes = draw(st.lists(st.sampled_from(("square", "circle")), min_size=count, max_size=count))
+    try:
+        return ScaleLadder(tuple(WindowSpec(s, r) for s, r in zip(shapes, radii)))
+    except InvalidInputError:  # a square not inside the next circle
+        assume(False)
+
+
+def binomial_cellvals(rows, cols, per_cell_trials, seed):
+    rng = np.random.default_rng(seed)
+    if per_cell_trials:
+        n = rng.integers(1, 200, size=(rows, cols))  # many distinct levels
+    else:
+        n = np.full((rows, cols), int(rng.integers(1, 20)))  # few levels
+    y = rng.binomial(n, rng.uniform(0.05, 0.95))
+    return adjusted_proportions(Grid(y), Grid(n))
+
+
+@given(
+    rows=st.integers(1, 25),
+    cols=st.integers(1, 25),
+    ladder=ladders(),
+    per_cell_trials=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_enumerated_median(rows, cols, ladder, per_cell_trials, seed):
+    cellvals = binomial_cellvals(rows, cols, per_cell_trials, seed)
+    want = enumerated_medians(cellvals, ladder)
+    if want is None:
+        with pytest.raises(InternalInvariantError):
+            _annulus_median_fields(cellvals, ladder)
+    else:
+        np.testing.assert_array_equal(_annulus_median_fields(cellvals, ladder), want)
+
+
+def test_even_and_clipped_annuli():
+    # the square:1 ring holds 8 cells inside (even), 3 at a corner and 5 on
+    # an edge (odd); the square:3 ring clips from 40 cells to 12 at a corner
+    cellvals = binomial_cellvals(7, 7, True, 5)
+    ladder = ScaleLadder.of("square", [0, 1, 3])
+    sizes = {len(annulus_cells(ladder, p, 1, (7, 7))) for p in ((3, 3), (0, 0), (0, 3))}
+    assert sizes == {8, 3, 5}
+    assert len(annulus_cells(ladder, (0, 0), 2, (7, 7))) == 12
+    np.testing.assert_array_equal(
+        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+    )
+
+
+def test_single_level_grid():
+    cellvals = np.full((6, 5), 0.25)
+    fields = _annulus_median_fields(cellvals, ScaleLadder.of("circle", [0, 2, 3]))
+    assert np.all(fields == 0.25)
+
+
+def test_annulus_clipping_to_empty_raises():
+    # at the center of a 3x3 grid the square:1..square:3 ring lies off the grid
+    cellvals = binomial_cellvals(3, 3, False, 1)
+    with pytest.raises(InternalInvariantError):
+        _annulus_median_fields(cellvals, ScaleLadder.of("square", [0, 1, 3]))
+
+
+def test_stat_field_memory_is_linear_in_cells():
+    rng = np.random.default_rng(3)
+    n = np.full((300, 300), 100)
+    grid = Grid(rng.binomial(n, 0.2))
+    model = ModelSpec("binomial", trials=Grid(n))
+    tracemalloc.start()
+    try:
+        stat_field(grid, model, ScaleLadder.default_two_scale())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STAT_BYTES_PER_CELL * grid.values.size
