@@ -6,104 +6,41 @@ threshold rule, alongside FDR and circular scan baselines and a
 simulation harness for power studies.
 """
 
-from .baselines import (
-    FdrResult,
-    PValueField,
-    ScanCluster,
-    ScanResult,
-    circular_scan,
-    pixel_pvalues,
-    storey_fdr,
-)
+from .baselines import circular_scan, pixel_pvalues, storey_fdr
 from .errors import (
     ConfigurationError,
     DegenerateDataError,
     GridParseError,
+    InternalInvariantError,
     InvalidInputError,
     McdError,
     NoSignalError,
     UndefinedMetricError,
 )
-from .grid import Grid, ScaleLadder, SummedAreaTable, WindowSpec, build_sat, window_sum
-from .gridio import read_grid_csv, read_pgm, write_grid_csv, write_mask_pgm, write_prob_pgm
-from .shapes import SHAPE_KINDS, boundary_partition, gen_shape
-from .simulate import (
-    ExperimentSummary,
-    Metrics,
-    SimConfig,
-    TheoremReport,
-    auc,
-    roc_curve,
-    run_experiment,
-    sensitivity_specificity,
-    simulate_grid,
-    theorem1_check,
-    theorem2_check,
-)
-from .stats import EstimateSet, ModelSpec, StatField, estimate_null, estimate_set, stat_field
-from .threshold import (
-    DetectionResult,
-    ThresholdScan,
-    VarField,
-    auto_min_belt_count,
-    detect,
-    neighborhood_variability,
-    run_detection,
-    scan_thresholds,
-)
+from .grid import Grid
+from .gridio import read_grid_csv
+from .simulate import SimConfig, run_experiment, theorem1_check, theorem2_check
+from .stats import ModelSpec
+from .threshold import run_detection
 
 __all__ = [
     "ConfigurationError",
     "DegenerateDataError",
-    "DetectionResult",
-    "EstimateSet",
-    "ExperimentSummary",
-    "FdrResult",
     "Grid",
     "GridParseError",
+    "InternalInvariantError",
     "InvalidInputError",
     "McdError",
-    "Metrics",
     "ModelSpec",
     "NoSignalError",
-    "PValueField",
-    "SHAPE_KINDS",
-    "ScaleLadder",
-    "ScanCluster",
-    "ScanResult",
     "SimConfig",
-    "StatField",
-    "SummedAreaTable",
-    "TheoremReport",
-    "ThresholdScan",
     "UndefinedMetricError",
-    "VarField",
-    "WindowSpec",
-    "auc",
-    "auto_min_belt_count",
-    "boundary_partition",
-    "build_sat",
     "circular_scan",
-    "detect",
-    "estimate_null",
-    "estimate_set",
-    "gen_shape",
-    "neighborhood_variability",
     "pixel_pvalues",
     "read_grid_csv",
-    "read_pgm",
-    "roc_curve",
     "run_detection",
     "run_experiment",
-    "scan_thresholds",
-    "sensitivity_specificity",
-    "simulate_grid",
-    "stat_field",
     "storey_fdr",
     "theorem1_check",
     "theorem2_check",
-    "window_sum",
-    "write_grid_csv",
-    "write_mask_pgm",
-    "write_prob_pgm",
 ]

@@ -12,7 +12,7 @@ Two alternatives to the multiscale detector, for benchmarking:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -20,7 +20,7 @@ from scipy.special import xlogy
 
 from .errors import ConfigurationError, InternalInvariantError, InvalidInputError
 from .grid import Grid, WindowSpec, build_sat, window_sum_field
-from .stats import ModelSpec, estimate_null, robust_sigma
+from .stats import ModelSpec, estimate_null
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ def pixel_pvalues(
     else:
         if not np.isfinite(null_param):
             raise ConfigurationError(f"normal null mean must be finite, got {null_param}")
-        sigma = model.sigma if model.sigma is not None else robust_sigma(grid.values)
-        p = sps.norm.sf((y - null_param) / sigma)
+        p = sps.norm.sf((y - null_param) / model.noise_sigma(grid))
     return PValueField(values=np.clip(p, 0.0, 1.0))
 
 
@@ -243,23 +242,16 @@ def circular_scan(
     y = grid.values.astype(np.float64)
     rows, cols = grid.shape
     family = model.family
-    sigma = None
-    if family == "binomial":
+    if family == "normal":
+        model = replace(model, sigma=model.noise_sigma(grid))
+    if model.trials is not None:
         exposure = model.trials.values.astype(np.float64)
-        y_tot = float(y.sum())
-        e_tot = float(exposure.sum())
-        p_pooled = y_tot / e_tot
-    elif family == "poisson":
-        exposure = np.ones((rows, cols))
-        y_tot = float(y.sum())
-        e_tot = float(rows * cols)
-        lam0 = y_tot / e_tot
     else:
         exposure = np.ones((rows, cols))
-        y_tot = float(y.sum())
-        e_tot = float(rows * cols)
-        mu0 = y_tot / e_tot
-        sigma = model.sigma if model.sigma is not None else robust_sigma(grid.values)
+    y_tot = float(y.sum())
+    e_tot = float(exposure.sum())
+    # the fitted null: one pooled rate (or mean) per unit of exposure
+    null_mean = np.full((rows, cols), y_tot / e_tot)
 
     # per-radius zone exposures and the half-exposure eligibility cap;
     # these depend only on the trials map, not the replicate data
@@ -280,25 +272,17 @@ def circular_scan(
     obs_llrs = np.zeros((len(radii), rows, cols))
     for k, (window, e_in) in enumerate(exposures_by_radius):
         y_in, _ = window_sum_field(obs_sat, window)
-        llr = _zone_llrs(family, y_in.astype(np.float64), e_in, y_tot, e_tot, sigma)
+        llr = _zone_llrs(family, y_in.astype(np.float64), e_in, y_tot, e_tot, model.sigma)
         obs_llrs[k] = np.where(allowed[window.radius], llr, 0.0)
 
     # Monte Carlo distribution of the max LLR under the fitted null;
     # each replicate gets its own deterministic stream
-    totals = (y_tot, e_tot)
     rep_max = np.empty(mc_reps)
     for rep in range(mc_reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        if family == "binomial":
-            sim = rng.binomial(model.trials.values, p_pooled).astype(np.float64)
-            sim_tot = (float(sim.sum()), e_tot)
-        elif family == "poisson":
-            sim = rng.poisson(lam0, size=(rows, cols)).astype(np.float64)
-            sim_tot = (float(sim.sum()), e_tot)
-        else:
-            sim = rng.normal(mu0, sigma, size=(rows, cols))
-            sim_tot = (float(sim.sum()), e_tot)
-        rep_max[rep] = _max_llr(family, sim, exposures_by_radius, sim_tot, sigma, allowed)
+        sim = model.sample(rng, null_mean).astype(np.float64)
+        rep_max[rep] = _max_llr(family, sim, exposures_by_radius, (float(sim.sum()), e_tot),
+                                model.sigma, allowed)
 
     def zone_pvalue(llr: float) -> float:
         return float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))

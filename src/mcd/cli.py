@@ -9,7 +9,6 @@ reproduces files byte for byte.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -77,15 +76,6 @@ def _resolve_seed(flag_value: int | None, config_value: int | None = None) -> in
         except ValueError:
             raise ConfigurationError(f"MCD_SEED must be an integer, got {env!r}") from None
     return 0
-
-
-def _thread_cap(threads: int):
-    """Cap numeric-library worker pools when threadpoolctl is available."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=threads)
 
 
 def _write_json(path, payload) -> None:
@@ -341,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                        help="cap for numeric worker threads (default: all cores)")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: config value, then $MCD_SEED, then 0)")
@@ -424,8 +412,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with _thread_cap(args.threads) if hasattr(args, "threads") else contextlib.nullcontext():
-            return args.func(args)
+        return args.func(args)
     except GridParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,25 +20,16 @@ from .errors import GridParseError, InvalidInputError
 from .grid import Grid
 
 
-def _format_value(x, integer: bool) -> str:
-    if integer:
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def write_grid_csv(path, grid: Grid, trials_uniform: int | None = None) -> None:
     """Write a grid, optionally recording a uniform per-cell trial count."""
-    integer = grid.is_integer()
     header = f"{grid.rows},{grid.cols}"
     if trials_uniform is not None:
         if int(trials_uniform) < 1:
             raise InvalidInputError(f"trials_uniform must be >= 1, got {trials_uniform}")
         header += f",{int(trials_uniform)}"
-    lines = [header]
-    for row in grid.values:
-        lines.append(",".join(_format_value(x, integer) for x in row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        np.savetxt(fh, grid.values, fmt="%d" if grid.is_integer() else "%.17g", delimiter=",")
 
 
 def write_array_csv(path, values: np.ndarray) -> None:

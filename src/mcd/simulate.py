@@ -72,11 +72,9 @@ class SimConfig:
         return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)
 
     def model(self) -> ModelSpec:
-        if self.family == "binomial":
-            return ModelSpec("binomial", trials=Grid(np.full(self.dims, self.trials)))
-        if self.family == "normal":
-            return ModelSpec("normal", sigma=self.sigma)
-        return ModelSpec("poisson")
+        trials = Grid(np.full(self.dims, self.trials)) if self.family == "binomial" else None
+        sigma = self.sigma if self.family == "normal" else None
+        return ModelSpec(self.family, trials=trials, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -143,16 +141,8 @@ def simulate_grid(config: SimConfig, replicate_index: int):
     """Data grid and truth mask for one replicate; keyed by (seed, index)."""
     truth = config.truth_mask()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, replicate_index)))
-    if config.family == "binomial":
-        probs = np.where(truth, config.alt_param, config.null_param)
-        values = rng.binomial(config.trials, probs)
-    elif config.family == "poisson":
-        lam = np.where(truth, config.alt_param, config.null_param)
-        values = rng.poisson(lam)
-    else:
-        mean = np.where(truth, config.alt_param, config.null_param)
-        values = rng.normal(mean, config.sigma)
-    return Grid(values), truth
+    mean = np.where(truth, config.alt_param, config.null_param)
+    return Grid(config.model().sample(rng, mean)), truth
 
 
 def sensitivity_specificity(detected: np.ndarray, truth: np.ndarray) -> Metrics:
@@ -284,7 +274,7 @@ def theorem1_check(delta: float, dims=(100, 100), shape: str = "disc", seed: int
     aves = np.zeros((reps, 3))
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        values = rng.normal(truth * delta, 1.0)
+        values = model.sample(rng, truth * delta)
         t = stat_field(Grid(values), model, ladder).values
         aves[rep] = (t[noise_in].mean(), t[boundary].mean(), t[signal_in].mean())
         successes[rep] = aves[rep, 0] < aves[rep, 1] < aves[rep, 2]
@@ -314,7 +304,7 @@ def theorem2_check(delta: float, dims=(100, 100), shape: str = "disc", seed: int
     vtilde = np.zeros(reps)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        values = rng.normal(truth * delta, 1.0)
+        values = model.sample(rng, truth * delta)
         v = neighborhood_variability(Grid(values), model).values
         ave_b[rep] = v[boundary].mean()
         ave_rest[rep] = v[~boundary].mean()

@@ -15,8 +15,7 @@ elevation. The Binomial annulus median is exact (it agrees with
 np.median over the enumerated annulus) and is found by rank selection on
 the distinct cell values, in O(rows * cols) memory whatever the annulus
 size. Scale weights are increment cardinalities, so a radius-0
-first scale contributes with weight 1. The chi-square(M) reference law
-for T is recorded as metadata only; thresholding happens elsewhere.
+first scale contributes with weight 1.
 """
 
 from __future__ import annotations
@@ -41,7 +40,11 @@ MAD_SCALE = 1.4826
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Observation model: family plus its family-specific parameters."""
+    """Observation model: family plus its family-specific parameters.
+
+    Everything else that differs between families lives here too: the
+    per-cell values, the Normal noise scale and the per-cell sampler.
+    """
 
     family: str
     trials: Grid | None = None
@@ -60,22 +63,32 @@ class ModelSpec:
             if not (self.sigma > 0):
                 raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
 
+    def cell_values(self, grid: Grid) -> np.ndarray:
+        """Per-cell values the null and the annulus estimates run over.
 
-@dataclass(frozen=True)
-class EstimateSet:
-    """Null and per-scale parameter estimates at one pixel."""
+        Adjusted proportions (Y+1)/(N+2) for Binomial, the raw values otherwise.
+        """
+        if self.family == "binomial":
+            return adjusted_proportions(grid, self.trials)
+        return np.asarray(grid.values, dtype=float)
 
-    null_estimate: float
-    scale_estimates: np.ndarray
-    sigma_used: float | None = None
+    def noise_sigma(self, grid: Grid) -> float:
+        """Normal noise scale: the given sigma, else the MAD estimate of the grid."""
+        sigma = self.sigma if self.sigma is not None else robust_sigma(grid.values)
+        if sigma == 0.0:
+            raise DegenerateDataError("robust sigma estimate is 0; supply sigma explicitly")
+        return sigma
 
-    def __post_init__(self):
-        est = np.asarray(self.scale_estimates, dtype=float)
-        object.__setattr__(self, "scale_estimates", est)
-        if not np.all(np.isfinite(est)) or not np.isfinite(self.null_estimate):
-            raise InternalInvariantError("estimates must be finite")
-        if np.any(est < self.null_estimate):
-            raise InternalInvariantError("scale estimates must be clipped at the null estimate")
+    def sample(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+        """One draw per cell with mean `mean` (a success probability for Binomial).
+
+        Normal draws use `sigma`, which must be set.
+        """
+        if self.family == "binomial":
+            return rng.binomial(self.trials.values, mean)
+        if self.family == "poisson":
+            return rng.poisson(mean)
+        return rng.normal(mean, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -94,11 +107,6 @@ class StatField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def chi2_df(self) -> int:
-        """Degrees of freedom of the nominal chi-square reference (unused for thresholding)."""
-        return self.ladder.scale_count
-
 
 def adjusted_proportions(counts: Grid, trials: Grid) -> np.ndarray:
     """Shrunk per-cell proportions (Y+1)/(N+2), always strictly inside (0, 1)."""
@@ -113,10 +121,15 @@ def robust_sigma(values: np.ndarray) -> float:
 
 
 def estimate_null(grid: Grid, model: ModelSpec) -> float:
-    """Grid-wide null parameter: the median cell value (adjusted for Binomial)."""
-    if model.family == "binomial":
-        return float(np.median(adjusted_proportions(grid, model.trials)))
-    return float(np.median(grid.values))
+    """Grid-wide null parameter: the median cell value (adjusted for Binomial).
+
+    A Poisson null rate of 0 (median count 0) admits no likelihood ratio
+    and raises DegenerateDataError.
+    """
+    null = float(np.median(model.cell_values(grid)))
+    if model.family == "poisson" and null == 0.0:
+        raise DegenerateDataError("null rate estimate is 0 (median count is 0)")
+    return null
 
 
 def estimate_scales(
@@ -134,10 +147,7 @@ def estimate_scales(
     i, j = pixel
     if not (0 <= i < grid.rows and 0 <= j < grid.cols):
         raise InvalidInputError(f"pixel {pixel} outside {grid.rows}x{grid.cols} grid")
-    if model.family == "binomial":
-        cellvals = adjusted_proportions(grid, model.trials)
-    else:
-        cellvals = np.asarray(grid.values, dtype=float)
+    cellvals = model.cell_values(grid)
     out = np.empty(ladder.scale_count)
     for r in range(ladder.scale_count):
         vals = [
@@ -150,15 +160,6 @@ def estimate_scales(
         center = np.median(vals) if model.family == "binomial" else np.mean(vals)
         out[r] = max(float(center), null_estimate)
     return out
-
-
-def estimate_set(grid: Grid, model: ModelSpec, ladder: ScaleLadder, pixel) -> EstimateSet:
-    null = estimate_null(grid, model)
-    scales = estimate_scales(grid, model, ladder, null, pixel)
-    sigma = None
-    if model.family == "normal":
-        sigma = model.sigma if model.sigma is not None else robust_sigma(grid.values)
-    return EstimateSet(null_estimate=null, scale_estimates=scales, sigma_used=sigma)
 
 
 def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarray:
@@ -211,74 +212,32 @@ def _increments(stacked: np.ndarray) -> np.ndarray:
     return out
 
 
-def stat_binomial(grid: Grid, trials: Grid, ladder: ScaleLadder) -> StatField:
-    """T(s) under the Binomial model."""
-    model = ModelSpec("binomial", trials=trials)
-    padj = adjusted_proportions(grid, trials)
-    p0 = float(np.median(padj))
-    x, m, n = aggregate_scales(grid, ladder, trials=trials)
-    if np.any(m[0] == 0) or np.any(np.diff(m, axis=0) == 0):
-        raise InternalInvariantError("a ladder annulus clips to empty on this grid")
-    p_r = np.maximum(_annulus_median_fields(padj, ladder), p0)
-    dx = _increments(x)
-    dn = _increments(n)
-    # medians of (Y+1)/(N+2) lie strictly inside (0,1), so all logs are finite
-    terms = dx * (np.log(p0) - np.log(p_r)) + (dn - dx) * (np.log1p(-p0) - np.log1p(-p_r))
-    return StatField(values=-2.0 * terms.sum(axis=0), model=model, ladder=ladder)
+def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
+    """T(s) under the model's family.
 
-
-def stat_poisson(grid: Grid, ladder: ScaleLadder, count_offset: bool = False) -> StatField:
-    """T(s) under the Poisson model.
-
-    `count_offset` adds 0.5 to every cell before estimation, a documented
-    escape hatch for grids whose median count is 0 (off by default).
+    The alternative at scale r is the annulus median of the cell values
+    for Binomial and the pooled annulus mean otherwise, clipped below by
+    the null; only it and the likelihood-ratio terms depend on the family.
     """
-    if not grid.is_integer() or np.any(grid.values < 0):
+    if model.family == "poisson" and (not grid.is_integer() or np.any(grid.values < 0)):
         raise InvalidInputError("Poisson model needs nonnegative integer counts")
-    y = grid.values + 0.5 if count_offset else np.asarray(grid.values, dtype=float)
-    lam0 = float(np.median(y))
-    if lam0 == 0.0:
-        raise DegenerateDataError(
-            "null rate estimate is 0 (median count is 0); pass count_offset=True "
-            "to add the +0.5 continuity offset"
-        )
-    x, m = aggregate_scales(Grid(y) if count_offset else grid, ladder)
+    null = estimate_null(grid, model)
+    sigma = model.noise_sigma(grid) if model.family == "normal" else None
+    x, m, *trial_sums = aggregate_scales(grid, ladder, trials=model.trials)
     if np.any(m[0] == 0) or np.any(np.diff(m, axis=0) == 0):
         raise InternalInvariantError("a ladder annulus clips to empty on this grid")
     dx = _increments(x)
-    dm = _increments(m)
-    lam_r = np.maximum(dx / dm, lam0)
-    terms = dx * (np.log(lam0) - np.log(lam_r)) + dm * (lam_r - lam0)
-    return StatField(values=-2.0 * terms.sum(axis=0), model=ModelSpec("poisson"), ladder=ladder)
-
-
-def stat_normal(grid: Grid, ladder: ScaleLadder, sigma: float | None = None) -> StatField:
-    """T(s) under the Normal model with known or MAD-estimated sigma."""
-    model = ModelSpec("normal", sigma=sigma)
-    y = np.asarray(grid.values, dtype=float)
-    mu0 = float(np.median(y))
-    sig = sigma if sigma is not None else robust_sigma(y)
-    if sig == 0.0:
-        raise DegenerateDataError("robust sigma estimate is 0; supply sigma explicitly")
-    x, m = aggregate_scales(grid, ladder)
-    if np.any(m[0] == 0) or np.any(np.diff(m, axis=0) == 0):
-        raise InternalInvariantError("a ladder annulus clips to empty on this grid")
-    dx = _increments(x)
-    dm = _increments(m)
-    mu_r = np.maximum(dx / dm, mu0)
-    terms = 2.0 * dx * (mu_r - mu0) + dm * (mu0 * mu0 - mu_r * mu_r)
-    return StatField(values=terms.sum(axis=0) / (sig * sig), model=model, ladder=ladder)
-
-
-def stat_field(
-    grid: Grid,
-    model: ModelSpec,
-    ladder: ScaleLadder,
-    count_offset: bool = False,
-) -> StatField:
-    """Dispatch to the family-specific statistic."""
     if model.family == "binomial":
-        return stat_binomial(grid, model.trials, ladder)
+        alt = np.maximum(_annulus_median_fields(model.cell_values(grid), ladder), null)
+        dn = _increments(trial_sums[0])
+        # medians of (Y+1)/(N+2) lie strictly inside (0,1), so all logs are finite
+        terms = (dx * (np.log(null) - np.log(alt))
+                 + (dn - dx) * (np.log1p(-null) - np.log1p(-alt)))
+        return StatField(values=-2.0 * terms.sum(axis=0), model=model, ladder=ladder)
+    dm = _increments(m)
+    alt = np.maximum(dx / dm, null)
     if model.family == "poisson":
-        return stat_poisson(grid, ladder, count_offset=count_offset)
-    return stat_normal(grid, ladder, sigma=model.sigma)
+        terms = dx * (np.log(null) - np.log(alt)) + dm * (alt - null)
+        return StatField(values=-2.0 * terms.sum(axis=0), model=model, ladder=ladder)
+    terms = 2.0 * dx * (alt - null) + dm * (null * null - alt * alt)
+    return StatField(values=terms.sum(axis=0) / (sigma * sigma), model=model, ladder=ladder)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError, NoSignalError
 from .grid import CROSS_OFFSETS, Grid, ScaleLadder, shifted_slices
-from .stats import ModelSpec, StatField, adjusted_proportions, stat_field
+from .stats import ModelSpec, StatField, stat_field
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def neighborhood_variability(grid: Grid, model: ModelSpec) -> VarField:
     """
     if grid.rows < 2 or grid.cols < 2:
         raise InvalidInputError("variability needs a grid of at least 2x2")
-    if model.family == "binomial":
-        cellvals = adjusted_proportions(grid, model.trials)
-    else:
-        cellvals = np.asarray(grid.values, dtype=float)
+    cellvals = model.cell_values(grid)
     stack = np.full((len(CROSS_OFFSETS),) + cellvals.shape, np.nan)
     for k, (dst, src) in enumerate(shifted_slices(cellvals.shape, CROSS_OFFSETS)):
         stack[k][dst] = cellvals[src]
@@ -175,7 +172,6 @@ def run_detection(
     ladder: ScaleLadder | None = None,
     threshold_count: int = 100,
     min_belt_count: int | None = None,
-    count_offset: bool = False,
 ) -> DetectionResult:
     """Full pipeline: statistic, variability, threshold scan, mask.
 
@@ -189,7 +185,7 @@ def run_detection(
         ladder = ScaleLadder.default_two_scale()
     if min_belt_count is None:
         min_belt_count = auto_min_belt_count(grid.rows * grid.cols)
-    stat = stat_field(grid, model, ladder, count_offset=count_offset)
+    stat = stat_field(grid, model, ladder)
     var = neighborhood_variability(grid, model)
     scan = scan_thresholds(stat, var, threshold_count, min_belt_count=min_belt_count)
     result = detect(stat, scan.t_star)

@@ -185,6 +185,32 @@ class TestScanFdr:
                    "--radii", "1-3", "--mc-reps", "19", "--out-dir", out) == 0
         assert json.loads((out / "scan.json").read_text())["clusters"]
 
+    @pytest.mark.parametrize("command", [
+        ("fdr", "--alpha", "0.1"),
+        ("scan", "--radii", "1-3", "--mc-reps", "19"),
+    ])
+    def test_zero_normal_sigma_estimate_exits_3(self, tmp_path, capsys, command):
+        # more than half the cells equal the median, so the MAD is 0
+        values = np.zeros((20, 20))
+        values[3, 3], values[10, 10] = 5.0, -2.0
+        path = tmp_path / "flat.csv"
+        write_grid_csv(path, Grid(values))
+        assert run(command[0], path, "--family", "normal", *command[1:],
+                   "--out-dir", tmp_path / "out") == 3
+        assert "sigma estimate is 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("detect",), ("fdr", "--alpha", "0.1")])
+    def test_zero_poisson_median_exits_3(self, tmp_path, capsys, command):
+        counts = np.zeros((20, 20), dtype=int)
+        counts[5, 5], counts[6, 6] = 4, 2
+        path = tmp_path / "sparse.csv"
+        write_grid_csv(path, Grid(counts))
+        assert run(command[0], path, "--family", "poisson", *command[1:],
+                   "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "median count is 0" in err
+        assert "count_offset" not in err
+
     def test_fdr_requires_alpha(self):
         assert run("fdr", FIXTURE, "--family", "binomial") == 2
 

@@ -34,6 +34,25 @@ class TestCsvRoundTrip:
         # 17 significant digits round-trip IEEE doubles bit for bit
         np.testing.assert_array_equal(back.values, grid.values)
 
+    def test_float_bytes_are_17_significant_digits(self, tmp_path):
+        values = np.array([
+            [1e300, -1e-300, -0.0, 0.0],
+            [5e-324, 2.2250738585072014e-308 / 3, 1.2e17, -1.2e17],
+            [0.1, 1 / 3, -123456789.123, 1e-5],
+        ])
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, Grid(values))
+        want = "3,4\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n"
+                                 for row in values)
+        assert path.read_bytes() == want.encode()
+
+    def test_integer_bytes(self, tmp_path):
+        values = np.array([[0, -7, 2**62], [-(2**63), 10**17, 1]], dtype=np.int64)
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, Grid(values), trials_uniform=9)
+        want = "2,3,9\n" + "".join(",".join(str(int(x)) for x in row) + "\n" for row in values)
+        assert path.read_bytes() == want.encode()
+
     def test_trials_header(self, tmp_path):
         grid = Grid(np.arange(12).reshape(3, 4))
         path = tmp_path / "g.csv"

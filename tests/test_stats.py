@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
 from mcd.grid import Grid, ScaleLadder, WindowSpec
 from mcd.stats import (
-    EstimateSet,
     ModelSpec,
     adjusted_proportions,
     estimate_null,
     estimate_scales,
-    estimate_set,
     robust_sigma,
-    stat_binomial,
     stat_field,
-    stat_normal,
-    stat_poisson,
 )
 from oracles import oracle_estimates, oracle_stat_grid
 
@@ -44,6 +39,46 @@ class TestModelSpec:
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
             ModelSpec("gamma")
+
+    def test_cell_values(self):
+        y = Grid(np.array([[0, 3], [5, 1]]))
+        n = Grid(np.full((2, 2), 8))
+        np.testing.assert_array_equal(ModelSpec("binomial", trials=n).cell_values(y),
+                                      adjusted_proportions(y, n))
+        vals = ModelSpec("poisson").cell_values(y)
+        assert vals.dtype == np.float64
+        np.testing.assert_array_equal(vals, y.values)
+
+    def test_noise_sigma(self):
+        rng = np.random.default_rng(19)
+        g = Grid(rng.normal(size=(9, 9)))
+        assert ModelSpec("normal", sigma=2.5).noise_sigma(g) == 2.5
+        assert ModelSpec("normal").noise_sigma(g) == robust_sigma(g.values)
+        with pytest.raises(DegenerateDataError):
+            ModelSpec("normal").noise_sigma(Grid(np.ones((5, 5))))
+
+    def test_sample_matches_direct_generator_calls(self):
+        # the simulation draws around a per-cell mean, the scan's null around
+        # one pooled value; both streams must stay what these calls give
+        def rng():
+            return np.random.default_rng(np.random.SeedSequence((7, 3)))
+
+        shape = (12, 15)
+        mean = np.where(np.arange(180).reshape(shape) % 7 == 0, 0.3, 0.2)
+        n = np.random.default_rng(5).integers(50, 151, size=shape)
+        binom = ModelSpec("binomial", trials=Grid(np.full(shape, 100)))
+        np.testing.assert_array_equal(binom.sample(rng(), mean), rng().binomial(100, mean))
+        binom = ModelSpec("binomial", trials=Grid(n))
+        np.testing.assert_array_equal(binom.sample(rng(), np.full(shape, 0.21)),
+                                      rng().binomial(n, 0.21))
+        poisson = ModelSpec("poisson")
+        np.testing.assert_array_equal(poisson.sample(rng(), mean * 20), rng().poisson(mean * 20))
+        np.testing.assert_array_equal(poisson.sample(rng(), np.full(shape, 4.3)),
+                                      rng().poisson(4.3, size=shape))
+        normal = ModelSpec("normal", sigma=1.7)
+        assert normal.sample(rng(), mean).tobytes() == rng().normal(mean, 1.7).tobytes()
+        assert (normal.sample(rng(), np.full(shape, 0.12)).tobytes()
+                == rng().normal(0.12, 1.7, size=shape).tobytes())
 
 
 class TestEstimateNull:
@@ -111,13 +146,6 @@ class TestEstimateScales:
             got = estimate_scales(Grid(y), model, ladder, null, pixel)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_estimate_set_invariants(self):
-        rng = np.random.default_rng(43)
-        g = Grid(rng.normal(size=(8, 8)))
-        es = estimate_set(g, ModelSpec("normal"), TWO_SCALE, (4, 4))
-        assert np.all(es.scale_estimates >= es.null_estimate)
-        assert es.sigma_used is not None and es.sigma_used > 0
-
     def test_pixel_bounds_checked(self):
         g = Grid(np.ones((4, 4), dtype=int) * 2)
         with pytest.raises(InvalidInputError):
@@ -128,7 +156,7 @@ class TestStatBinomial:
     def test_constant_grid_is_zero(self):
         y = Grid(np.full((12, 12), 20))
         n = Grid(np.full((12, 12), 100))
-        field = stat_binomial(y, n, TWO_SCALE)
+        field = stat_field(y, ModelSpec("binomial", trials=n), TWO_SCALE)
         assert np.all(field.values == 0.0)
 
     def test_center_bump_frozen_value(self):
@@ -137,7 +165,7 @@ class TestStatBinomial:
         y = np.full((11, 11), 20)
         y[5, 5] = 30
         n = np.full((11, 11), 100)
-        field = stat_binomial(Grid(y), Grid(n), TWO_SCALE)
+        field = stat_field(Grid(y), ModelSpec("binomial", trials=Grid(n)), TWO_SCALE)
         p0, p1 = 21 / 102, 31 / 102
         want = -2 * (
             30 * (math.log(p0) - math.log(p1))
@@ -151,7 +179,7 @@ class TestStatBinomial:
         y = rng.binomial(60, 0.3, size=(9, 9))
         n = np.full((9, 9), 60)
         ladder = ScaleLadder.of("square", [0, 1, 3])
-        field = stat_binomial(Grid(y), Grid(n), ladder)
+        field = stat_field(Grid(y), ModelSpec("binomial", trials=Grid(n)), ladder)
         want = oracle_stat_grid(y, "binomial", ladder, trials=n)
         np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
 
@@ -159,20 +187,20 @@ class TestStatBinomial:
         rng = np.random.default_rng(53)
         n = rng.integers(20, 200, size=(8, 8))
         y = rng.binomial(n, 0.25)
-        field = stat_binomial(Grid(y), Grid(n), TWO_SCALE)
+        field = stat_field(Grid(y), ModelSpec("binomial", trials=Grid(n)), TWO_SCALE)
         want = oracle_stat_grid(y, "binomial", TWO_SCALE, trials=n)
         np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
 
 
 class TestStatPoisson:
     def test_constant_grid_is_zero(self):
-        field = stat_poisson(Grid(np.full((10, 10), 3)), TWO_SCALE)
+        field = stat_field(Grid(np.full((10, 10), 3)), ModelSpec("poisson"), TWO_SCALE)
         assert np.all(field.values == 0.0)
 
     def test_single_scale_frozen_value(self):
         y = np.full((3, 3), 2)
         y[2, 2] = 7
-        field = stat_poisson(Grid(y), ScaleLadder.of("square", [0]))
+        field = stat_field(Grid(y), ModelSpec("poisson"), ScaleLadder.of("square", [0]))
         # -2[7(log 2 - log 7) + (7 - 2)] = 14 log(7/2) - 10
         assert field.values[2, 2] == pytest.approx(7.538681558935153, rel=1e-12)
         assert field.values[0, 0] == 0.0
@@ -180,7 +208,7 @@ class TestStatPoisson:
     def test_matches_likelihood_oracle(self):
         rng = np.random.default_rng(59)
         y = rng.poisson(3.0, size=(10, 10))
-        field = stat_poisson(Grid(y), TWO_SCALE)
+        field = stat_field(Grid(y), ModelSpec("poisson"), TWO_SCALE)
         want = oracle_stat_grid(y, "poisson", TWO_SCALE)
         np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
 
@@ -188,42 +216,40 @@ class TestStatPoisson:
         y = np.zeros((6, 6), dtype=int)
         y[0, 0] = 4
         with pytest.raises(DegenerateDataError):
-            stat_poisson(Grid(y), TWO_SCALE)
-        field = stat_poisson(Grid(y), TWO_SCALE, count_offset=True)
-        assert np.all(np.isfinite(field.values))
-        assert field.values[0, 0] > 0
+            stat_field(Grid(y), ModelSpec("poisson"), TWO_SCALE)
 
     def test_rejects_negative_or_real_input(self):
+        ladder = ScaleLadder.of("square", [0, 1])
         with pytest.raises(InvalidInputError):
-            stat_poisson(Grid(np.array([[1, -1], [2, 3]])), ScaleLadder.of("square", [0, 1]))
+            stat_field(Grid(np.array([[1, -1], [2, 3]])), ModelSpec("poisson"), ladder)
         with pytest.raises(InvalidInputError):
-            stat_poisson(Grid(np.ones((3, 3)) * 1.5), ScaleLadder.of("square", [0, 1]))
+            stat_field(Grid(np.ones((3, 3)) * 1.5), ModelSpec("poisson"), ladder)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         y = rng.poisson(5.0, size=(9, 9))
-        field = stat_poisson(Grid(y), ScaleLadder.of("square", [0, 2, 4]))
+        field = stat_field(Grid(y), ModelSpec("poisson"), ScaleLadder.of("square", [0, 2, 4]))
         assert np.all(field.values >= -1e-10)
 
 
 class TestStatNormal:
     def test_constant_grid_with_sigma_is_zero(self):
-        field = stat_normal(Grid(np.full((8, 8), 1.5)), TWO_SCALE, sigma=1.0)
+        field = stat_field(Grid(np.full((8, 8), 1.5)), ModelSpec("normal", sigma=1.0), TWO_SCALE)
         assert np.all(field.values == 0.0)
 
     def test_single_scale_identity(self):
         y = np.zeros((3, 3))
         y[1, 1] = 2.0
-        field = stat_normal(Grid(y), ScaleLadder.of("square", [0]), sigma=1.0)
+        field = stat_field(Grid(y), ModelSpec("normal", sigma=1.0), ScaleLadder.of("square", [0]))
         assert field.values[1, 1] == pytest.approx(4.0)  # (mu1 - mu0)^2
         assert field.values[0, 0] == 0.0
 
     def test_matches_likelihood_oracle(self):
         rng = np.random.default_rng(61)
         y = rng.normal(size=(12, 12))
-        field = stat_normal(Grid(y), TWO_SCALE, sigma=1.0)
+        field = stat_field(Grid(y), ModelSpec("normal", sigma=1.0), TWO_SCALE)
         want = oracle_stat_grid(y, "normal", TWO_SCALE, sigma=1.0)
         np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
 
@@ -234,7 +260,7 @@ class TestStatNormal:
         y = rng.normal(size=(10, 10))
         ladder = ScaleLadder.of("square", [0, 2, 5])
         sigma = 0.8
-        field = stat_normal(Grid(y), ladder, sigma=sigma)
+        field = stat_field(Grid(y), ModelSpec("normal", sigma=sigma), ladder)
         model = ModelSpec("normal", sigma=sigma)
         mu0 = estimate_null(Grid(y), model)
         for i in range(10):
@@ -256,28 +282,28 @@ class TestStatNormal:
         rng = np.random.default_rng(71)
         y = rng.normal(size=(15, 15))
         sig = robust_sigma(y)
-        a = stat_normal(Grid(y), TWO_SCALE)
-        b = stat_normal(Grid(y), TWO_SCALE, sigma=sig)
+        a = stat_field(Grid(y), ModelSpec("normal"), TWO_SCALE)
+        b = stat_field(Grid(y), ModelSpec("normal", sigma=sig), TWO_SCALE)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_degenerate_sigma_refused(self):
         with pytest.raises(DegenerateDataError):
-            stat_normal(Grid(np.ones((5, 5))), TWO_SCALE)
+            stat_field(Grid(np.ones((5, 5))), ModelSpec("normal"), TWO_SCALE)
 
     def test_monotone_response_in_center_value(self):
         prev = -np.inf
         for bump in (1.0, 2.0, 3.0):
             y = np.zeros((13, 13))
             y[6, 6] = bump
-            t = stat_normal(Grid(y), TWO_SCALE, sigma=1.0).values[6, 6]
+            t = stat_field(Grid(y), ModelSpec("normal", sigma=1.0), TWO_SCALE).values[6, 6]
             assert t > prev
             prev = t
 
     def test_translation_covariance(self):
         rng = np.random.default_rng(73)
         y = rng.normal(size=(11, 11))
-        a = stat_normal(Grid(y), TWO_SCALE, sigma=1.0)
-        b = stat_normal(Grid(y + 100.0), TWO_SCALE, sigma=1.0)
+        a = stat_field(Grid(y), ModelSpec("normal", sigma=1.0), TWO_SCALE)
+        b = stat_field(Grid(y + 100.0), ModelSpec("normal", sigma=1.0), TWO_SCALE)
         np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-9)
 
 
@@ -290,9 +316,9 @@ class TestZeroOnClip:
         n = np.full((11, 11), 40)
         ladder = ScaleLadder.of("square", [0, 2])
         cases = [
-            stat_binomial(Grid(y), Grid(n), ladder),
-            stat_poisson(Grid(np.maximum(y, 1)), ladder),
-            stat_normal(Grid(y.astype(float)), ladder, sigma=1.0),
+            stat_field(Grid(y), ModelSpec("binomial", trials=Grid(n)), ladder),
+            stat_field(Grid(np.maximum(y, 1)), ModelSpec("poisson"), ladder),
+            stat_field(Grid(y.astype(float)), ModelSpec("normal", sigma=1.0), ladder),
         ]
         grids = [y, np.maximum(y, 1), y]
         models = [
@@ -313,28 +339,6 @@ class TestZeroOnClip:
             assert clipped_everywhere > 0  # the check must actually bite
 
 
-class TestDispatcher:
-    def test_routes_by_family(self):
-        rng = np.random.default_rng(83)
-        y = rng.integers(1, 9, size=(7, 7))
-        n = Grid(np.full((7, 7), 20))
-        lad = ScaleLadder.of("square", [0, 1])
-        f_bin = stat_field(Grid(y), ModelSpec("binomial", trials=n), lad)
-        f_poi = stat_field(Grid(y), ModelSpec("poisson"), lad)
-        f_nor = stat_field(Grid(y), ModelSpec("normal", sigma=2.0), lad)
-        np.testing.assert_array_equal(f_bin.values, stat_binomial(Grid(y), n, lad).values)
-        np.testing.assert_array_equal(f_poi.values, stat_poisson(Grid(y), lad).values)
-        np.testing.assert_array_equal(f_nor.values, stat_normal(Grid(y), lad, sigma=2.0).values)
-        assert f_poi.chi2_df == 2
-
-    def test_count_offset_forwarded(self):
-        y = np.zeros((5, 5), dtype=int)
-        y[2, 2] = 3
-        lad = ScaleLadder.of("square", [0, 1])
-        field = stat_field(Grid(y), ModelSpec("poisson"), lad, count_offset=True)
-        assert field.values[2, 2] > 0
-
-
 def test_adjusted_proportions_strictly_inside_unit_interval():
     y = np.array([[0, 10], [5, 0]])
     n = np.array([[10, 10], [10, 10]])
@@ -350,8 +354,3 @@ def test_robust_sigma_known_values():
     assert robust_sigma(v) == 0.0
     v = np.array([0.0, 1.0, 2.0, 3.0, 100.0])
     assert robust_sigma(v) == pytest.approx(1.4826)
-
-
-def test_estimate_set_rejects_unclipped_vector():
-    with pytest.raises(Exception):
-        EstimateSet(null_estimate=1.0, scale_estimates=np.array([0.5, 2.0]))

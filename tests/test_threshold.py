@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mcd.errors import InvalidInputError, NoSignalError
 from mcd.grid import Grid, ScaleLadder
-from mcd.stats import ModelSpec, StatField, stat_normal
+from mcd.stats import ModelSpec, StatField
 from mcd.threshold import (
     DetectionResult,
     VarField,
