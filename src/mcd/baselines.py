@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sps
-from scipy.special import xlogy
 
 from .errors import ConfigurationError, InternalInvariantError, InvalidInputError
 from .grid import Grid, WindowSpec, build_sat, window_sum_field
@@ -99,14 +97,21 @@ def pixel_pvalues(
 ) -> PValueField:
     """One-sided upper-tail p-value of each pixel against a global null.
 
-    Binomial: P(X >= y | N, p0) exactly; Poisson: P(X >= y | lam0)
-    exactly; Normal: 1 - Phi((y - mu0)/sigma). `null_param` defaults to
-    the same null estimate the statistic uses: the grid-wide median cell
-    value for every family (of the adjusted proportions for Binomial).
-    `approx=True` switches the two count families to a
+    Exact tails in closed form from `scipy.special`: Binomial
+    P(X >= y | N, p0) = betainc(y, N - y + 1, p0), Poisson
+    P(X >= y | lam0) = gammainc(y, lam0), both 1 at y = 0; Normal
+    1 - Phi((y - mu0)/sigma) = ndtr(-(y - mu0)/sigma). These equal
+    `scipy.stats` `binom.sf(y - 1, ...)`, `poisson.sf(y - 1, ...)` and
+    `norm.sf` bit for bit, without importing `scipy.stats`. `null_param`
+    defaults to the same null estimate the statistic uses: the grid-wide
+    median cell value for every family (of the adjusted proportions for
+    Binomial). `approx=True` switches the two count families to a
     continuity-corrected normal tail, for cross-checking against the
     exact computation.
     """
+    from scipy.special import betainc, gammainc, ndtr  # local, so detect never loads scipy
+
+    model.check_counts(grid)
     if null_param is None:
         null_param = estimate_null(grid, model)
     null_param = float(null_param)
@@ -118,20 +123,20 @@ def pixel_pvalues(
         if approx:
             mu = n * null_param
             sd = np.sqrt(n * null_param * (1.0 - null_param))
-            p = sps.norm.sf((y - 0.5 - mu) / sd)
+            p = ndtr(-((y - 0.5 - mu) / sd))
         else:
-            p = sps.binom.sf(y - 1, n, null_param)
+            p = np.where(y >= 1, betainc(np.maximum(y, 1), n - y + 1, null_param), 1.0)
     elif model.family == "poisson":
         if not null_param > 0.0:
             raise ConfigurationError(f"poisson null rate must be positive, got {null_param}")
         if approx:
-            p = sps.norm.sf((y - 0.5 - null_param) / np.sqrt(null_param))
+            p = ndtr(-((y - 0.5 - null_param) / np.sqrt(null_param)))
         else:
-            p = sps.poisson.sf(y - 1, null_param)
+            p = np.where(y >= 1, gammainc(np.maximum(y, 1), null_param), 1.0)
     else:
         if not np.isfinite(null_param):
             raise ConfigurationError(f"normal null mean must be finite, got {null_param}")
-        p = sps.norm.sf((y - null_param) / model.noise_sigma(grid))
+        p = ndtr(-((y - null_param) / model.noise_sigma(grid)))
     return PValueField(values=np.clip(p, 0.0, 1.0))
 
 
@@ -168,6 +173,8 @@ def _zone_llrs(family, y_in, e_in, y_tot, e_tot, sigma):
     `e_in`/`e_tot` is the zone/total exposure: trials for Binomial, cell
     count for Poisson/Normal. Zones with no rate excess score 0.
     """
+    from scipy.special import xlogy
+
     y_out = y_tot - y_in
     e_out = e_tot - e_in
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,6 +245,7 @@ def circular_scan(
         raise ConfigurationError(f"radii must be >= 1, got {radii[0]}")
     if not 0.0 < cluster_alpha < 1.0:
         raise ConfigurationError(f"cluster_alpha must be in (0,1), got {cluster_alpha}")
+    model.check_counts(grid)
 
     y = grid.values.astype(np.float64)
     rows, cols = grid.shape

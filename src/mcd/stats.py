@@ -57,11 +57,24 @@ class ModelSpec:
             raise ConfigurationError(f"unknown model family {self.family!r}")
         if (family == "binomial") != (self.trials is not None):
             raise ConfigurationError("trials map is required for Binomial and forbidden otherwise")
+        if self.trials is not None and not isinstance(self.trials, Grid):
+            raise ConfigurationError(f"trials must be a Grid, got {type(self.trials).__name__}")
         if self.sigma is not None:
             if family != "normal":
                 raise ConfigurationError("sigma only applies to the Normal family")
             if not (self.sigma > 0):
                 raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+
+    def check_counts(self, grid: Grid) -> None:
+        """Refuse a grid the family cannot model.
+
+        Binomial counts must fit the trials map; Poisson counts must be
+        nonnegative integers. Normal values are unconstrained.
+        """
+        if self.family == "binomial":
+            validate_trials(grid, self.trials)
+        elif self.family == "poisson" and (not grid.is_integer() or np.any(grid.values < 0)):
+            raise InvalidInputError("Poisson model needs nonnegative integer counts")
 
     def cell_values(self, grid: Grid) -> np.ndarray:
         """Per-cell values the null and the annulus estimates run over.
@@ -192,7 +205,8 @@ def _annulus_median_fields(cellvals: np.ndarray, ladder: ScaleLadder) -> np.ndar
     levels, idx = np.unique(cellvals, return_inverse=True)
     idx = idx.reshape(cellvals.shape).astype(np.int32)
     fields = np.empty((ladder.scale_count,) + cellvals.shape)
-    for r in range(ladder.scale_count):
+    fields[0] = cellvals  # the radius-0 annulus is the pixel itself
+    for r in range(1, ladder.scale_count):
         pairs = shifted_slices(cellvals.shape, ladder.annulus_offsets(r))
         size = np.zeros(cellvals.shape, dtype=np.int32)
         for dst, _ in pairs:
@@ -219,8 +233,7 @@ def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
     for Binomial and the pooled annulus mean otherwise, clipped below by
     the null; only it and the likelihood-ratio terms depend on the family.
     """
-    if model.family == "poisson" and (not grid.is_integer() or np.any(grid.values < 0)):
-        raise InvalidInputError("Poisson model needs nonnegative integer counts")
+    model.check_counts(grid)
     null = estimate_null(grid, model)
     sigma = model.noise_sigma(grid) if model.family == "normal" else None
     x, m, *trial_sums = aggregate_scales(grid, ladder, trials=model.trials)

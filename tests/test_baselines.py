@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
 from mcd.baselines import (
     PValueField,
@@ -77,6 +80,42 @@ class TestPixelPvalues:
         exact = pixel_pvalues(Grid(y), model, null_param=0.2)
         approx = pixel_pvalues(Grid(y), model, null_param=0.2, approx=True)
         np.testing.assert_allclose(approx.values, exact.values, atol=0.01)
+
+    @given(data=st.data(), approx=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_tail_is_binom_sf(self, data, approx):
+        n = np.array(data.draw(st.lists(st.integers(1, 400), min_size=1, max_size=12)))
+        y = np.array([data.draw(st.integers(0, int(k))) for k in n])
+        # y = 0 and y = n at the largest trial count, every example
+        n = np.concatenate([n, [n.max(), n.max()]]).reshape(1, -1)
+        y = np.concatenate([y, [0, n.max()]]).reshape(1, -1)
+        p0 = data.draw(st.floats(1e-6, 1 - 1e-6))
+        got = pixel_pvalues(Grid(y), ModelSpec("binomial", trials=Grid(n)), p0, approx).values
+        if approx:
+            want = sps.norm.sf((y - 0.5 - n * p0) / np.sqrt(n * p0 * (1.0 - p0)))
+        else:
+            want = sps.binom.sf(y - 1, n, p0)
+        np.testing.assert_array_equal(got, want)
+
+    @given(y=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+           lam=st.floats(1e-3, 150.0), approx=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_poisson_tail_is_poisson_sf(self, y, lam, approx):
+        y = np.array([0] + y).reshape(1, -1)
+        got = pixel_pvalues(Grid(y), ModelSpec("poisson"), lam, approx).values
+        if approx:
+            want = sps.norm.sf((y - 0.5 - lam) / np.sqrt(lam))
+        else:
+            want = sps.poisson.sf(y - 1, lam)
+        np.testing.assert_array_equal(got, want)
+
+    @given(y=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+           mu=st.floats(-100.0, 100.0), sigma=st.floats(1e-3, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_normal_tail_is_norm_sf(self, y, mu, sigma):
+        y = np.array(y).reshape(1, -1)
+        got = pixel_pvalues(Grid(y), ModelSpec("normal", sigma=sigma), mu).values
+        np.testing.assert_array_equal(got, sps.norm.sf((y - mu) / sigma))
 
     def test_invalid_null_rejected(self):
         y = Grid(np.ones((3, 3), dtype=int))

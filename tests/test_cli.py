@@ -1,4 +1,9 @@
-"""CLI contract: exit codes, artifacts, determinism, env fallback."""
+"""CLI contract: exit codes, artifacts, determinism, env fallback, start-up imports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +216,20 @@ class TestScanFdr:
         assert "median count is 0" in err
         assert "count_offset" not in err
 
+    @pytest.mark.parametrize("command", [
+        ("detect",),
+        ("fdr", "--alpha", "0.1"),
+        ("scan", "--radii", "1-3", "--mc-reps", "19"),
+    ])
+    @pytest.mark.parametrize("shift", [0.5, -3], ids=["real", "negative"])
+    def test_poisson_non_counts_exit_3(self, tmp_path, capsys, command, shift):
+        counts = np.random.default_rng(7).poisson(4.0, size=(20, 20)) + shift
+        path = tmp_path / "bad.csv"
+        write_grid_csv(path, Grid(counts))
+        assert run(command[0], path, "--family", "poisson", *command[1:],
+                   "--out-dir", tmp_path / "out") == 3
+        assert "nonnegative integer counts" in capsys.readouterr().err
+
     def test_fdr_requires_alpha(self):
         assert run("fdr", FIXTURE, "--family", "binomial") == 2
 
@@ -245,3 +264,26 @@ class TestTheorems:
         assert run("theorems", "--delta", "1", "--reps", "5",
                    "--dims", "20x20", "--out-dir", out_b) == 0
         assert (out_a / "theorems.json").read_bytes() == (out_b / "theorems.json").read_bytes()
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv", [
+        ["detect", FIXTURE, "--family", "binomial"],
+        ["theorems", "--delta", "0.5", "--reps", "2", "--dims", "20x20"],
+    ], ids=["detect", "theorems"])
+    def test_loads_no_scipy(self, tmp_path, argv):
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "import mcd.cli\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "assert mcd.cli.main(sys.argv[1:]) == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path)], cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -29,6 +29,12 @@ class TestModelSpec:
         with pytest.raises(ConfigurationError):
             ModelSpec("poisson", trials=Grid(np.full((2, 2), 10)))
 
+    def test_trials_must_be_a_grid(self):
+        with pytest.raises(ConfigurationError):
+            ModelSpec("binomial", trials=100)
+        with pytest.raises(ConfigurationError):
+            ModelSpec("binomial", trials=np.full((2, 2), 10))
+
     def test_sigma_only_for_normal(self):
         ModelSpec("normal", sigma=2.0)
         with pytest.raises(ConfigurationError):
