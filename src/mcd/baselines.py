@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalInvariantError, InvalidInputError
+from .errors import ConfigurationError, InternalInvariantError
 from .grid import Grid, WindowSpec, build_sat, window_sum_field
 from .stats import ModelSpec, estimate_null
 
@@ -83,10 +83,6 @@ class ScanResult:
             if (claimed & c.mask).any():
                 raise InternalInvariantError("reported clusters must be disjoint")
             claimed |= c.mask
-
-    @property
-    def max_llr(self) -> float:
-        return self.clusters[0].llr if self.clusters else 0.0
 
 
 def pixel_pvalues(
@@ -167,47 +163,32 @@ def storey_fdr(pvals: PValueField, alpha: float, lam: float = 0.5) -> FdrResult:
                      gamma=gamma, pi0_hat=pi0, alpha=float(alpha))
 
 
-def _zone_llrs(family, y_in, e_in, y_tot, e_tot, sigma):
+def _zone_llrs(model, y_in, e_in, y_tot, e_tot):
     """Vectorized one-sided log likelihood ratios for circular zones.
 
     `e_in`/`e_tot` is the zone/total exposure: trials for Binomial, cell
-    count for Poisson/Normal. Zones with no rate excess score 0.
+    count for Poisson/Normal. Inside and outside are each fitted at their
+    own rate against the pooled one; zones whose rate does not exceed the
+    outside rate score 0. A Normal model must carry its sigma.
     """
-    from scipy.special import xlogy
-
     y_out = y_tot - y_in
     e_out = e_tot - e_in
+    r_all = y_tot / e_tot
     with np.errstate(divide="ignore", invalid="ignore"):
-        if family == "binomial":
-            p_in = y_in / e_in
-            p_out = np.where(e_out > 0, y_out / np.maximum(e_out, 1), 0.0)
-            p_all = y_tot / e_tot
-            ll_alt = (xlogy(y_in, p_in) + xlogy(e_in - y_in, 1.0 - p_in)
-                      + xlogy(y_out, p_out) + xlogy(e_out - y_out, 1.0 - p_out))
-            ll_null = xlogy(y_tot, p_all) + xlogy(e_tot - y_tot, 1.0 - p_all)
-            llr = np.where(p_in > p_out, ll_alt - ll_null, 0.0)
-        elif family == "poisson":
-            expected_in = y_tot * e_in / e_tot
-            expected_out = y_tot - expected_in
-            llr = xlogy(y_in, y_in / expected_in) + xlogy(y_out, y_out / expected_out)
-            llr = np.where(y_in > expected_in, llr, 0.0)
-        else:
-            mean_in = y_in / e_in
-            mean_out = np.where(e_out > 0, y_out / np.maximum(e_out, 1), 0.0)
-            mean_all = y_tot / e_tot
-            bss = e_in * (mean_in - mean_all) ** 2 + e_out * (mean_out - mean_all) ** 2
-            llr = np.where(mean_in > mean_all, bss / (2.0 * sigma**2), 0.0)
-    return np.where(np.isfinite(llr), llr, 0.0)
+        r_in = y_in / e_in
+        r_out = y_out / e_out
+    llr = model.llr(y_in, e_in, r_in, r_all) + model.llr(y_out, e_out, r_out, r_all)
+    return np.where(r_in > r_out, llr / (model.sigma or 1.0) ** 2, 0.0)
 
 
-def _max_llr(family, values, exposures_by_radius, totals, sigma, allowed):
+def _max_llr(model, values, exposures_by_radius, e_tot, allowed):
     """Maximum zone LLR of one data field across all centers and radii."""
     sat = build_sat(Grid(values))
-    y_tot, e_tot = totals
+    y_tot = float(values.sum())
     best = 0.0
     for window, e_in in exposures_by_radius:
         y_in, _ = window_sum_field(sat, window)
-        llr = _zone_llrs(family, y_in.astype(np.float64), e_in, y_tot, e_tot, sigma)
+        llr = _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot)
         llr = np.where(allowed[window.radius], llr, 0.0)
         m = float(llr.max())
         if m > best:
@@ -249,8 +230,7 @@ def circular_scan(
 
     y = grid.values.astype(np.float64)
     rows, cols = grid.shape
-    family = model.family
-    if family == "normal":
+    if model.family == "normal":
         model = replace(model, sigma=model.noise_sigma(grid))
     if model.trials is not None:
         exposure = model.trials.values.astype(np.float64)
@@ -280,7 +260,7 @@ def circular_scan(
     obs_llrs = np.zeros((len(radii), rows, cols))
     for k, (window, e_in) in enumerate(exposures_by_radius):
         y_in, _ = window_sum_field(obs_sat, window)
-        llr = _zone_llrs(family, y_in.astype(np.float64), e_in, y_tot, e_tot, model.sigma)
+        llr = _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot)
         obs_llrs[k] = np.where(allowed[window.radius], llr, 0.0)
 
     # Monte Carlo distribution of the max LLR under the fitted null;
@@ -289,8 +269,7 @@ def circular_scan(
     for rep in range(mc_reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
         sim = model.sample(rng, null_mean).astype(np.float64)
-        rep_max[rep] = _max_llr(family, sim, exposures_by_radius, (float(sim.sum()), e_tot),
-                                model.sigma, allowed)
+        rep_max[rep] = _max_llr(model, sim, exposures_by_radius, e_tot, allowed)
 
     def zone_pvalue(llr: float) -> float:
         return float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -30,7 +31,6 @@ from .errors import (
     GridParseError,
     InvalidInputError,
     McdError,
-    NoSignalError,
     UndefinedMetricError,
 )
 from .grid import Grid, validate_trials
@@ -44,7 +44,7 @@ from .gridio import (
 from .shapes import SHAPE_KINDS
 from .simulate import roc_curve, simulate_grid, theorem1_check, theorem2_check
 from .stats import ModelSpec, stat_field
-from .threshold import neighborhood_variability, scan_thresholds
+from .threshold import CONSTANT_FIELD, auto_min_belt_count, run_detection
 
 
 def _int_at_least(minimum: int):
@@ -85,22 +85,28 @@ def _write_json(path, payload) -> None:
 
 
 def _build_model(args, grid: Grid, trials_uniform: int | None) -> ModelSpec:
-    """Model from flags plus whatever the grid header declared."""
+    """Model from flags plus whatever the grid header declared.
+
+    Trials flags reach `ModelSpec` for every family, which refuses them
+    unless the family is Binomial; a header trial count is used only by
+    Binomial.
+    """
     trials = None
-    if args.family == "binomial":
-        if getattr(args, "trials_file", None):
-            trials, _ = read_grid_csv(args.trials_file)
-        elif getattr(args, "trials", None) is not None:
-            trials = Grid(np.full(grid.shape, args.trials, dtype=np.int64))
-        elif trials_uniform is not None:
-            trials = Grid(np.full(grid.shape, trials_uniform, dtype=np.int64))
-        else:
+    if args.trials_file:
+        trials, _ = read_grid_csv(args.trials_file)
+    elif args.trials is not None:
+        trials = Grid(np.full(grid.shape, args.trials, dtype=np.int64))
+    elif args.family == "binomial":
+        if trials_uniform is None:
             raise ConfigurationError(
                 "binomial input needs trial counts: a rows,cols,trials header, "
                 "--trials N, or --trials-file PATH"
             )
+        trials = Grid(np.full(grid.shape, trials_uniform, dtype=np.int64))
+    model = ModelSpec(args.family, trials=trials, sigma=args.sigma)
+    if trials is not None:
         validate_trials(grid, trials)
-    return ModelSpec(args.family, trials=trials, sigma=getattr(args, "sigma", None))
+    return model
 
 
 def _out(args, name: str) -> str:
@@ -120,7 +126,7 @@ def _cmd_detect(args) -> int:
     model = _build_model(args, grid, trials_uniform)
     ladder = parse_ladder(args.ladder)
     if args.min_belt_count == "auto":
-        floor = None
+        floor = auto_min_belt_count(grid.rows * grid.cols)
     else:
         try:
             floor = int(args.min_belt_count)
@@ -128,47 +134,29 @@ def _cmd_detect(args) -> int:
             raise ConfigurationError(
                 f"--min-belt-count must be an integer or 'auto', got {args.min_belt_count!r}"
             ) from None
-    floor = _auto_floor(floor, grid)
-    stat = stat_field(grid, model, ladder)
-    var = neighborhood_variability(grid, model)
+    result = run_detection(grid, model, ladder=ladder, threshold_count=args.threshold_count,
+                           min_belt_count=floor)
+    scan = result.scan
     lines = [
         f"family={model.family}",
         f"ladder={args.ladder}",
         f"threshold_count={args.threshold_count}",
         f"min_belt_count={floor}",
+        f"t_star={result.t_star:.17g}",
+        f"k_star={scan.k_star if scan else -1}",
+        f"peak_ratio={scan.peak_ratio if scan else math.nan:.17g}",
+        f"detected_cells={result.detected_count}",
     ]
-    try:
-        scan = scan_thresholds(
-            stat,
-            var,
-            threshold_count=args.threshold_count,
-            min_belt_count=floor,
-        )
-        mask = stat.values > scan.t_star
-        lines += [
-            f"t_star={scan.t_star:.17g}",
-            f"k_star={scan.k_star}",
-            f"peak_ratio={scan.peak_ratio:.17g}",
-            f"detected_cells={int(mask.sum())}",
-        ]
-    except NoSignalError as exc:
-        mask = np.zeros(grid.shape, dtype=bool)
-        lines += ["t_star=nan", "k_star=-1", "peak_ratio=nan", "detected_cells=0",
-                  f"note={exc}"]
-        print(f"warning: {exc}; writing an empty mask", file=sys.stderr)
-    write_array_csv(_out(args, "stat.csv"), stat.values)
-    write_array_csv(_out(args, "var.csv"), var.values)
-    _write_mask(args, "mask", mask)
+    if scan is None:
+        lines.append(f"note={CONSTANT_FIELD}")
+        print(f"warning: {CONSTANT_FIELD}; writing an empty mask", file=sys.stderr)
+    write_array_csv(_out(args, "stat.csv"), result.stat.values)
+    write_array_csv(_out(args, "var.csv"), result.var.values)
+    _write_mask(args, "mask", result.mask)
     with open(_out(args, "detection.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"detected {int(mask.sum())} of {mask.size} cells -> {args.out_dir}")
+    print(f"detected {result.detected_count} of {result.mask.size} cells -> {args.out_dir}")
     return 0
-
-
-def _auto_floor(floor: int | None, grid: Grid) -> int:
-    from .threshold import auto_min_belt_count
-
-    return auto_min_belt_count(grid.rows * grid.cols) if floor is None else floor
 
 
 # -------------------------------------------------------------- simulate
@@ -204,12 +192,7 @@ def _cmd_simulate(args) -> int:
             write_prob_pgm(_out(args, stem + ".pgm"), ms.prob_map)
         if args.roc:
             grid, truth = simulate_grid(cfg, 0)
-            ladder = cfg.ladder
-            if ladder is None:
-                from .grid import ScaleLadder
-
-                ladder = ScaleLadder.default_two_scale()
-            stat = stat_field(grid, cfg.model(), ladder)
+            stat = stat_field(grid, cfg.model(), cfg.ladder)
             points = roc_curve(stat, truth, points=args.roc)
             write_array_csv(_out(args, f"roc_{label}.csv"), points)
             print(f"roc alt={label}: auc {auc(points):.4f}")
@@ -419,7 +402,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateDataError, InvalidInputError, UndefinedMetricError, NoSignalError) as exc:
+    except (DegenerateDataError, InvalidInputError, UndefinedMetricError) as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 3
     except McdError as exc:

@@ -45,17 +45,6 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_grid_values(self.values))
 
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat) -> Grid:
-        flat = np.asarray(flat)
-        if rows < 1 or cols < 1:
-            raise InvalidInputError(f"grid dimensions must be positive, got {rows}x{cols}")
-        if flat.ndim != 1 or flat.size != rows * cols:
-            raise InvalidInputError(
-                f"expected {rows * cols} values for a {rows}x{cols} grid, got {flat.size}"
-            )
-        return cls(flat.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -211,12 +200,6 @@ class SummedAreaTable:
     cols: int
     integer: bool
 
-    def rect_sum(self, r0: int, r1: int, c0: int, c1: int):
-        """Sum over cells r0..r1 x c0..c1 inclusive (caller clips to the grid)."""
-        t = self.table
-        s = t[r1 + 1, c1 + 1] - t[r0, c1 + 1] - t[r1 + 1, c0] + t[r0, c0]
-        return int(s) if self.integer else float(s)
-
 
 def build_sat(grid: Grid) -> SummedAreaTable:
     """Build the prefix-sum table for a grid.
@@ -233,27 +216,6 @@ def build_sat(grid: Grid) -> SummedAreaTable:
     table = np.zeros((grid.rows + 1, grid.cols + 1), dtype=acc.dtype)
     table[1:, 1:] = np.cumsum(np.cumsum(acc, axis=0), axis=1)
     return SummedAreaTable(table=table, rows=grid.rows, cols=grid.cols, integer=grid.is_integer())
-
-
-def window_sum(sat: SummedAreaTable, center: tuple[int, int], window: WindowSpec):
-    """Sum and in-grid cell count of a window centered at `center`.
-
-    Edge-overlapping windows are clipped; the count reflects the clipping.
-    """
-    i, j = center
-    if not (0 <= i < sat.rows and 0 <= j < sat.cols):
-        raise InvalidInputError(f"center {center} outside {sat.rows}x{sat.cols} grid")
-    total = 0 if sat.integer else 0.0
-    count = 0
-    for di, hw in window.row_halfwidths():
-        r = i + di
-        if r < 0 or r >= sat.rows:
-            continue
-        c0 = max(j - hw, 0)
-        c1 = min(j + hw, sat.cols - 1)
-        total += sat.rect_sum(r, r, c0, c1)
-        count += c1 - c0 + 1
-    return total, count
 
 
 def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:

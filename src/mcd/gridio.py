@@ -12,8 +12,6 @@ Masks and probability maps go to binary PGM (P5): 0 = background,
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import GridParseError, InvalidInputError
@@ -116,31 +114,3 @@ def _write_pgm(path, pixels: np.ndarray) -> None:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 file back into a uint8 array (for round-trips)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4 and pos < len(data):
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment to end of line
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if len(fields) != 4 or fields[0] != b"P5":
-        raise GridParseError(f"{os.fspath(path)}: not a binary PGM")
-    cols, rows, maxval = (int(f) for f in fields[1:])
-    if maxval != 255:
-        raise GridParseError(f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    raster = data[pos : pos + rows * cols]
-    if len(raster) != rows * cols:
-        raise GridParseError("truncated PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols)

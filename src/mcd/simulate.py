@@ -15,7 +15,6 @@ from .baselines import circular_scan, pixel_pvalues, storey_fdr
 from .errors import (
     ConfigurationError,
     InvalidInputError,
-    NoSignalError,
     UndefinedMetricError,
 )
 from .grid import Grid, ScaleLadder, WindowSpec
@@ -40,7 +39,7 @@ class SimConfig:
     replicates: int = 100
     seed: int = 0
     methods: tuple[str, ...] = ("mcd",)
-    ladder: ScaleLadder | None = None
+    ladder: ScaleLadder = ScaleLadder.default_two_scale()
     threshold_count: int = 100
     min_belt_count: int | None = None
     fdr_alpha: float = 0.6
@@ -128,11 +127,6 @@ class TheoremReport:
             raise ConfigurationError("empty pixel partition")
 
     @property
-    def p_boundary(self) -> float:
-        total = self.n_noise + self.n_boundary + self.n_signal
-        return self.n_boundary / total
-
-    @property
     def success_rate(self) -> float:
         return float(self.successes.mean())
 
@@ -163,15 +157,12 @@ def sensitivity_specificity(detected: np.ndarray, truth: np.ndarray) -> Metrics:
 def _detect_one(config: SimConfig, method: str, grid: Grid, model: ModelSpec,
                 replicate_index: int) -> np.ndarray:
     if method == "mcd":
-        try:
-            return run_detection(
-                grid, model,
-                ladder=config.ladder,
-                threshold_count=config.threshold_count,
-                min_belt_count=config.min_belt_count,
-            ).mask
-        except NoSignalError:
-            return np.zeros(config.dims, dtype=bool)
+        return run_detection(
+            grid, model,
+            ladder=config.ladder,
+            threshold_count=config.threshold_count,
+            min_belt_count=config.min_belt_count,
+        ).mask
     if method == "fdr":
         pvals = pixel_pvalues(grid, model)
         return storey_fdr(pvals, alpha=config.fdr_alpha, lam=config.fdr_lambda).mask

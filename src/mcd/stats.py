@@ -103,6 +103,27 @@ class ModelSpec:
             return rng.poisson(mean)
         return rng.normal(mean, self.sigma)
 
+    def llr(self, y, e, theta1, theta0):
+        """Log-likelihood ratio l(theta1) - l(theta0) of a total `y` over exposure `e`.
+
+        Exposure is the trials for Binomial and the cell count otherwise. For
+        Normal the result is sigma^2 times the ratio, so callers divide by
+        sigma^2. A term whose count is 0 contributes 0 whatever its rate (the
+        xlogy convention), which keeps rates of 0 or 1 finite.
+        """
+        if self.family == "normal":
+            return y * (theta1 - theta0) + e * (theta0 * theta0 - theta1 * theta1) / 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            llr = _xlogratio(y, np.log(theta1), np.log(theta0))
+            if self.family == "binomial":
+                return llr + _xlogratio(e - y, np.log1p(-theta1), np.log1p(-theta0))
+        return llr - e * (theta1 - theta0)
+
+
+def _xlogratio(count, log1, log0):
+    """count * (log1 - log0), and 0 where the count is 0."""
+    return np.where(count == 0, 0.0, count * (log1 - log0))
+
 
 @dataclass(frozen=True)
 class StatField:
@@ -143,36 +164,6 @@ def estimate_null(grid: Grid, model: ModelSpec) -> float:
     if model.family == "poisson" and null == 0.0:
         raise DegenerateDataError("null rate estimate is 0 (median count is 0)")
     return null
-
-
-def estimate_scales(
-    grid: Grid,
-    model: ModelSpec,
-    ladder: ScaleLadder,
-    null_estimate: float,
-    pixel: tuple[int, int],
-) -> np.ndarray:
-    """Per-scale alternative estimates at one pixel, clipped below by the null.
-
-    Reference implementation by direct annulus enumeration; the field
-    routines below must agree with it exactly.
-    """
-    i, j = pixel
-    if not (0 <= i < grid.rows and 0 <= j < grid.cols):
-        raise InvalidInputError(f"pixel {pixel} outside {grid.rows}x{grid.cols} grid")
-    cellvals = model.cell_values(grid)
-    out = np.empty(ladder.scale_count)
-    for r in range(ladder.scale_count):
-        vals = [
-            cellvals[i + di, j + dj]
-            for di, dj in ladder.annulus_offsets(r)
-            if 0 <= i + di < grid.rows and 0 <= j + dj < grid.cols
-        ]
-        if not vals:
-            raise InternalInvariantError(f"annulus {r} empty at pixel {pixel} after clipping")
-        center = np.median(vals) if model.family == "binomial" else np.mean(vals)
-        out[r] = max(float(center), null_estimate)
-    return out
 
 
 def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarray:
@@ -227,30 +218,26 @@ def _increments(stacked: np.ndarray) -> np.ndarray:
 
 
 def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
-    """T(s) under the model's family.
+    """T(s) = 2 * sum_r [l(alt_r) - l(null)] over the ladder's annuli.
 
     The alternative at scale r is the annulus median of the cell values
     for Binomial and the pooled annulus mean otherwise, clipped below by
-    the null; only it and the likelihood-ratio terms depend on the family.
+    the null; the likelihood ratio is `ModelSpec.llr` on the annulus
+    totals.
     """
     model.check_counts(grid)
     null = estimate_null(grid, model)
-    sigma = model.noise_sigma(grid) if model.family == "normal" else None
+    sigma = model.noise_sigma(grid) if model.family == "normal" else 1.0
     x, m, *trial_sums = aggregate_scales(grid, ladder, trials=model.trials)
     if np.any(m[0] == 0) or np.any(np.diff(m, axis=0) == 0):
         raise InternalInvariantError("a ladder annulus clips to empty on this grid")
     dx = _increments(x)
     if model.family == "binomial":
-        alt = np.maximum(_annulus_median_fields(model.cell_values(grid), ladder), null)
-        dn = _increments(trial_sums[0])
-        # medians of (Y+1)/(N+2) lie strictly inside (0,1), so all logs are finite
-        terms = (dx * (np.log(null) - np.log(alt))
-                 + (dn - dx) * (np.log1p(-null) - np.log1p(-alt)))
-        return StatField(values=-2.0 * terms.sum(axis=0), model=model, ladder=ladder)
-    dm = _increments(m)
-    alt = np.maximum(dx / dm, null)
-    if model.family == "poisson":
-        terms = dx * (np.log(null) - np.log(alt)) + dm * (alt - null)
-        return StatField(values=-2.0 * terms.sum(axis=0), model=model, ladder=ladder)
-    terms = 2.0 * dx * (alt - null) + dm * (null * null - alt * alt)
-    return StatField(values=terms.sum(axis=0) / (sigma * sigma), model=model, ladder=ladder)
+        de = _increments(trial_sums[0])
+        alt = _annulus_median_fields(model.cell_values(grid), ladder)
+    else:
+        de = _increments(m)
+        alt = dx / de
+    llr = model.llr(dx, de, np.maximum(alt, null), null)
+    # dividing by sigma^2 after the sum (1 for the count families) keeps T exact
+    return StatField(values=2.0 * llr.sum(axis=0) / (sigma * sigma), model=model, ladder=ladder)

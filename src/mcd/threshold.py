@@ -28,6 +28,8 @@ from .errors import InternalInvariantError, InvalidInputError, NoSignalError
 from .grid import CROSS_OFFSETS, Grid, ScaleLadder, shifted_slices
 from .stats import ModelSpec, StatField, stat_field
 
+CONSTANT_FIELD = "statistic field is constant; no threshold separates anything"
+
 
 @dataclass(frozen=True)
 class VarField:
@@ -76,8 +78,14 @@ class ThresholdScan:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Final detection: mask = {s : T(s) > t_star}."""
+    """Final detection: mask = {s : T(s) > t_star}, with the fields behind it.
 
+    When T is constant no threshold separates anything: the mask is empty,
+    `t_star` is NaN and `scan` is None.
+    """
+
+    stat: StatField
+    var: VarField
     mask: np.ndarray
     t_star: float
     scan: ThresholdScan | None = None
@@ -131,7 +139,7 @@ def scan_thresholds(
     t_min = float(t_vals.min())
     t_max = float(t_vals.max())
     if t_min == t_max:
-        raise NoSignalError("statistic field is constant; no threshold separates anything")
+        raise NoSignalError(CONSTANT_FIELD)
     thresholds = np.linspace(t_min, t_max, threshold_count)
     # belt of value v: first k with v <= t_{k+1}; exactly-min values land in belt -1
     belt = np.searchsorted(thresholds, t_vals.ravel(), side="left") - 1
@@ -159,17 +167,10 @@ def scan_thresholds(
     )
 
 
-def detect(stat: StatField, t_star: float) -> DetectionResult:
-    """Mask of pixels with T strictly above the threshold."""
-    if not np.isfinite(t_star):
-        raise InvalidInputError(f"t_star must be finite, got {t_star}")
-    return DetectionResult(mask=stat.values > t_star, t_star=float(t_star))
-
-
 def run_detection(
     grid: Grid,
     model: ModelSpec,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = ScaleLadder.default_two_scale(),
     threshold_count: int = 100,
     min_belt_count: int | None = None,
 ) -> DetectionResult:
@@ -177,16 +178,15 @@ def run_detection(
 
     `min_belt_count=None` scales the occupancy floor with the grid
     (`auto_min_belt_count`); pass 1 to keep every non-empty belt
-    eligible. Raises NoSignalError when the statistic field is constant
-    (e.g. data that clips to the null everywhere); callers wanting an
-    empty mask in that case should catch it.
+    eligible. A constant statistic field (e.g. data that clips to the
+    null everywhere) gives an empty mask, `t_star` NaN and no scan.
     """
-    if ladder is None:
-        ladder = ScaleLadder.default_two_scale()
     if min_belt_count is None:
         min_belt_count = auto_min_belt_count(grid.rows * grid.cols)
     stat = stat_field(grid, model, ladder)
     var = neighborhood_variability(grid, model)
-    scan = scan_thresholds(stat, var, threshold_count, min_belt_count=min_belt_count)
-    result = detect(stat, scan.t_star)
-    return DetectionResult(mask=result.mask, t_star=result.t_star, scan=scan)
+    try:
+        scan = scan_thresholds(stat, var, threshold_count, min_belt_count=min_belt_count)
+    except NoSignalError:
+        return DetectionResult(stat, var, np.zeros(grid.shape, dtype=bool), math.nan)
+    return DetectionResult(stat, var, stat.values > scan.t_star, scan.t_star, scan)

@@ -165,3 +165,13 @@ def oracle_zone_llr(values, exposure, family, zone, sigma=None):
         return 0.0
     bss = e_in * (mean_in - mean_all) ** 2 + e_out * (mean_out - mean_all) ** 2
     return bss / (2.0 * sigma**2)
+
+
+def read_pgm(path):
+    """A binary P5 file with a bare header, as `gridio` writes it, as a uint8 array."""
+    with open(path, "rb") as fh:
+        magic, size, maxval, raster = fh.read().split(b"\n", 3)
+    cols, rows = (int(v) for v in size.split())
+    if magic != b"P5" or maxval != b"255" or len(raster) != rows * cols:
+        raise ValueError(f"{path}: not a {rows}x{cols} binary PGM")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols)

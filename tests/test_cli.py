@@ -10,8 +10,9 @@ import pytest
 
 from mcd.cli import main
 from mcd.grid import Grid
-from mcd.gridio import read_grid_csv, read_pgm, write_grid_csv
+from mcd.gridio import read_grid_csv, write_grid_csv
 from mcd.shapes import gen_shape
+from oracles import read_pgm
 
 FIXTURE = "data/disc_counts.csv"
 
@@ -84,6 +85,13 @@ class TestDetect:
             assert run("detect", FIXTURE, "--family", "binomial", "--out-dir", out) == 0
         for name in ("stat.csv", "var.csv", "mask.csv", "mask.pgm", "detection.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_stat_csv_has_no_negative_zero(self, tmp_path):
+        # pixels whose every scale clips to the null score exactly +0
+        assert run("detect", FIXTURE, "--family", "binomial", "--out-dir", tmp_path) == 0
+        lines = (tmp_path / "stat.csv").read_text().splitlines()[1:]
+        tokens = [tok for line in lines for tok in line.split(",")]
+        assert "0" in tokens and "-0" not in tokens
 
 
 class TestSimulate:
@@ -233,6 +241,31 @@ class TestScanFdr:
     def test_fdr_requires_alpha(self):
         assert run("fdr", FIXTURE, "--family", "binomial") == 2
 
+    @pytest.mark.parametrize("command", [
+        ("detect",),
+        ("fdr", "--alpha", "0.1"),
+        ("scan", "--radii", "1-3", "--mc-reps", "19"),
+    ])
+    @pytest.mark.parametrize("family", ["poisson", "normal"])
+    @pytest.mark.parametrize("flag", ["--trials", "--trials-file"])
+    def test_trials_flags_refused_unless_binomial(self, tmp_path, capsys, command, family, flag):
+        counts = np.random.default_rng(5).poisson(4.0, size=(20, 20))
+        path = tmp_path / "counts.csv"
+        write_grid_csv(path, Grid(counts))
+        trials = tmp_path / "trials.csv"
+        write_grid_csv(trials, Grid(np.full((20, 20), 30)))
+        value = "30" if flag == "--trials" else str(trials)
+        assert run(command[0], path, "--family", family, flag, value, *command[1:],
+                   "--out-dir", tmp_path / "out") == 2
+        assert "forbidden otherwise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_header_trials_ignored_unless_binomial(self, tmp_path):
+        counts = np.random.default_rng(5).poisson(4.0, size=(20, 20))
+        path = tmp_path / "counts.csv"
+        write_grid_csv(path, Grid(counts), trials_uniform=30)
+        assert run("detect", path, "--family", "poisson", "--out-dir", tmp_path / "out") == 0
+
 
 class TestTheorems:
     def test_missing_delta_exits_2(self, tmp_path):
@@ -270,7 +303,8 @@ class TestStartup:
     @pytest.mark.parametrize("argv", [
         ["detect", FIXTURE, "--family", "binomial"],
         ["theorems", "--delta", "0.5", "--reps", "2", "--dims", "20x20"],
-    ], ids=["detect", "theorems"])
+        ["scan", FIXTURE, "--family", "binomial", "--radii", "1-3", "--mc-reps", "19"],
+    ], ids=["detect", "theorems", "scan"])
     def test_loads_no_scipy(self, tmp_path, argv):
         root = Path(__file__).resolve().parents[1]
         code = (

@@ -14,7 +14,6 @@ from mcd.grid import (
     aggregate_scales,
     build_sat,
     shifted_slices,
-    window_sum,
     window_sum_field,
 )
 
@@ -31,6 +30,18 @@ def brute_window_sum(values, center, window):
             total += values[r, c]
             count += 1
     return total, count
+
+
+def field_window_sum(values, center, window):
+    """(sum, count) of one window, read off `window_sum_field`."""
+    sums, counts = window_sum_field(build_sat(Grid(values)), window)
+    return sums[center], counts[center]
+
+
+def sat_rect_sum(sat, r0, r1, c0, c1):
+    """Sum over cells r0..r1 x c0..c1 inclusive: the four-lookup SAT identity."""
+    t = sat.table
+    return t[r1 + 1, c1 + 1] - t[r0, c1 + 1] - t[r1 + 1, c0] + t[r0, c0]
 
 
 class TestWindowSpec:
@@ -95,25 +106,18 @@ class TestScaleLadder:
 
 class TestWindowSum:
     def test_ones_3x3_square1(self):
-        sat = build_sat(Grid(np.ones((3, 3), dtype=int)))
-        total, count = window_sum(sat, (1, 1), WindowSpec("square", 1))
+        total, count = field_window_sum(np.ones((3, 3), dtype=int), (1, 1), WindowSpec("square", 1))
         assert total == 9 and count == 9
 
     def test_single_cell_grid(self):
-        sat = build_sat(Grid(np.array([[5]])))
-        assert window_sum(sat, (0, 0), WindowSpec("square", 0)) == (5, 1)
+        assert field_window_sum(np.array([[5]]), (0, 0), WindowSpec("square", 0)) == (5, 1)
 
     def test_corner_clipping(self):
-        sat = build_sat(Grid(np.ones((8, 8), dtype=int)))
-        total, count = window_sum(sat, (0, 0), WindowSpec("square", 1))
+        ones = np.ones((8, 8), dtype=int)
+        total, count = field_window_sum(ones, (0, 0), WindowSpec("square", 1))
         assert total == 4 and count == 4
-        total, count = window_sum(sat, (7, 7), WindowSpec("square", 5))
+        total, count = field_window_sum(ones, (7, 7), WindowSpec("square", 5))
         assert total == 36 and count == 36
-
-    def test_center_outside_grid_rejected(self):
-        sat = build_sat(Grid(np.ones((3, 3), dtype=int)))
-        with pytest.raises(InvalidInputError):
-            window_sum(sat, (3, 0), WindowSpec("square", 1))
 
     def test_random_rectangles_exact(self):
         rng = np.random.default_rng(7)
@@ -123,29 +127,28 @@ class TestWindowSum:
             for r1 in range(r0, 20):
                 for c0 in range(0, 20, 3):
                     for c1 in range(c0, 20, 3):
-                        assert sat.rect_sum(r0, r1, c0, c1) == values[r0 : r1 + 1, c0 : c1 + 1].sum()
+                        assert sat_rect_sum(sat, r0, r1, c0, c1) == values[r0 : r1 + 1, c0 : c1 + 1].sum()
 
     @pytest.mark.parametrize("shape,radius", [("square", 2), ("circle", 3), ("circle", 5)])
     def test_matches_brute_force_int(self, shape, radius):
         rng = np.random.default_rng(11)
         values = rng.integers(0, 50, size=(12, 9))
-        sat = build_sat(Grid(values))
         w = WindowSpec(shape, radius)
+        sums, counts = window_sum_field(build_sat(Grid(values)), w)
         for i in range(12):
             for j in range(9):
-                assert window_sum(sat, (i, j), w) == brute_window_sum(values, (i, j), w)
+                assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
 
     def test_matches_brute_force_float(self):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(10, 14)) * 1e3
-        sat = build_sat(Grid(values))
         w = WindowSpec("circle", 4)
+        sums, counts = window_sum_field(build_sat(Grid(values)), w)
         for i in range(10):
             for j in range(14):
-                got, count = window_sum(sat, (i, j), w)
                 want, wcount = brute_window_sum(values, (i, j), w)
-                assert count == wcount
-                assert got == pytest.approx(want, rel=1e-12)
+                assert counts[i, j] == wcount
+                assert sums[i, j] == pytest.approx(want, rel=1e-12)
 
 
 class TestWindowSumField:
@@ -158,7 +161,7 @@ class TestWindowSumField:
         sums, counts = window_sum_field(sat, w)
         for i in range(11):
             for j in range(13):
-                assert (sums[i, j], counts[i, j]) == window_sum(sat, (i, j), w)
+                assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
 
     def test_field_float_accuracy(self):
         rng = np.random.default_rng(19)
@@ -221,11 +224,10 @@ class TestAggregateScales:
 def test_window_sum_property(rows, cols, radius, shape, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(-100, 100, size=(rows, cols))
-    sat = build_sat(Grid(values))
     w = WindowSpec(shape, radius)
     i = int(rng.integers(0, rows))
     j = int(rng.integers(0, cols))
-    assert window_sum(sat, (i, j), w) == brute_window_sum(values, (i, j), w)
+    assert field_window_sum(values, (i, j), w) == brute_window_sum(values, (i, j), w)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -247,16 +249,14 @@ def test_grid_immutable_and_validated():
         Grid(np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         Grid(np.array([[np.nan]]))
-    with pytest.raises(InvalidInputError):
-        Grid.from_flat(2, 2, [1, 2, 3])
 
 
 def test_rect_sum_is_summed_area_identity():
     values = np.arange(12).reshape(3, 4)
     sat = build_sat(Grid(values))
     assert isinstance(sat, SummedAreaTable)
-    assert sat.rect_sum(0, 2, 0, 3) == values.sum()
-    assert sat.rect_sum(1, 1, 2, 2) == values[1, 2]
+    assert sat_rect_sum(sat, 0, 2, 0, 3) == values.sum()
+    assert sat_rect_sum(sat, 1, 1, 2, 2) == values[1, 2]
 
 
 def test_shifted_slices_pair_each_pixel_with_its_neighbor():

@@ -5,13 +5,8 @@ import pytest
 
 from mcd.errors import GridParseError, InvalidInputError
 from mcd.grid import Grid
-from mcd.gridio import (
-    read_grid_csv,
-    read_pgm,
-    write_grid_csv,
-    write_mask_pgm,
-    write_prob_pgm,
-)
+from mcd.gridio import read_grid_csv, write_grid_csv, write_mask_pgm, write_prob_pgm
+from oracles import read_pgm
 
 
 class TestCsvRoundTrip:
@@ -132,9 +127,3 @@ class TestPgm:
             write_mask_pgm(tmp_path / "m.pgm", np.zeros((2, 2)))  # not boolean
         with pytest.raises(InvalidInputError):
             write_prob_pgm(tmp_path / "p.pgm", np.array([[0.0, 1.5]]))
-
-    def test_read_rejects_non_pgm(self, tmp_path):
-        path = tmp_path / "x.pgm"
-        path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(GridParseError):
-            read_pgm(path)

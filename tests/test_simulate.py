@@ -189,7 +189,7 @@ class TestTheorem1:
         report = theorem1_check(delta=1.0, dims=(30, 30), shape="disc", radius=7.0,
                                 seed=2, reps=5)
         assert report.n_noise + report.n_boundary + report.n_signal == 900
-        assert 0.0 < report.p_boundary < 0.5
+        assert 0.0 < report.n_boundary / 900 < 0.5
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
-from mcd.grid import Grid, ScaleLadder, WindowSpec
+from mcd.grid import Grid, ScaleLadder, WindowSpec, aggregate_scales
 from mcd.stats import (
+    FAMILIES,
     ModelSpec,
     adjusted_proportions,
     estimate_null,
-    estimate_scales,
     robust_sigma,
     stat_field,
 )
@@ -87,6 +87,46 @@ class TestModelSpec:
                 == rng().normal(0.12, 1.7, size=shape).tobytes())
 
 
+class TestLlr:
+    """`ModelSpec.llr` against per-cell scipy log-likelihoods."""
+
+    @given(family=st.sampled_from(FAMILIES), cells=st.integers(1, 30),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_log_likelihoods(self, family, cells, seed):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(seed)
+        if family == "binomial":
+            theta0, theta1 = rng.uniform(0.001, 0.999, size=2)
+            n = rng.integers(1, 60, size=cells)
+            y = rng.binomial(n, theta1)
+            model = ModelSpec("binomial", trials=Grid(n[None, :]))
+            e = n.sum()
+            want = sps.binom.logpmf(y, n, theta1).sum() - sps.binom.logpmf(y, n, theta0).sum()
+        elif family == "poisson":
+            theta0, theta1 = rng.uniform(0.01, 20.0, size=2)
+            y = rng.poisson(theta1, size=cells)
+            model, e = ModelSpec("poisson"), cells
+            want = sps.poisson.logpmf(y, theta1).sum() - sps.poisson.logpmf(y, theta0).sum()
+        else:
+            theta0, theta1 = rng.normal(0.0, 5.0, size=2)
+            sigma = rng.uniform(0.1, 4.0)
+            y = rng.normal(theta1, sigma, size=cells)
+            model, e = ModelSpec("normal", sigma=sigma), cells
+            want = sigma**2 * (sps.norm.logpdf(y, theta1, sigma).sum()
+                               - sps.norm.logpdf(y, theta0, sigma).sum())
+        got = model.llr(float(y.sum()), float(e), theta1, theta0)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_zero_counts_at_boundary_rates_are_finite(self):
+        binom = ModelSpec("binomial", trials=Grid(np.full((1, 1), 10)))
+        # y = 0 at rate 0, and y = e at rate 1: the empty term contributes 0
+        assert binom.llr(0.0, 10.0, 0.0, 0.2) == pytest.approx(-10 * math.log(0.8))
+        assert binom.llr(10.0, 10.0, 1.0, 0.2) == pytest.approx(-10 * math.log(0.2))
+        assert ModelSpec("poisson").llr(0.0, 4.0, 0.0, 1.5) == pytest.approx(6.0)
+
+
 class TestEstimateNull:
     def test_constant_binomial(self):
         y = Grid(np.full((4, 4), 20))
@@ -107,11 +147,13 @@ class TestEstimateNull:
 
 
 class TestEstimateScales:
+    """The per-scale estimates of the oracle that the statistic is checked against."""
+
     def test_identical_cells_clip_to_null(self):
         g = Grid(np.full((9, 9), 7))
         null = estimate_null(g, ModelSpec("poisson"))
-        est = estimate_scales(g, ModelSpec("poisson"), TWO_SCALE, null, (4, 4))
-        assert np.all(est == null)
+        _, est = oracle_estimates(g.values, "poisson", TWO_SCALE, (4, 4))
+        assert np.all(np.array(est) == null)
 
     def test_unclipped_annulus_mean(self):
         # the annulus for ladder [0, 2] is the full 5x5 window minus the center
@@ -119,7 +161,8 @@ class TestEstimateScales:
         ladder = ScaleLadder.of("square", [0, 2])
         vals[3:8, 3:8] = 1.7
         vals[5, 5] = 0.2
-        est = estimate_scales(Grid(vals), ModelSpec("normal"), ladder, 0.2, (5, 5))
+        null, est = oracle_estimates(vals, "normal", ladder, (5, 5))
+        assert null == 0.2
         assert est[1] == pytest.approx(1.7)
 
     def test_binomial_annulus_median_enumeration(self):
@@ -129,7 +172,7 @@ class TestEstimateScales:
         model = ModelSpec("binomial", trials=Grid(n))
         ladder = ScaleLadder.of("square", [0, 2])
         null = estimate_null(Grid(y), model)
-        est = estimate_scales(Grid(y), model, ladder, null, (3, 3))
+        _, est = oracle_estimates(y, "binomial", ladder, (3, 3), trials=n)
         ring = [
             (3 + di, 3 + dj)
             for di in range(-2, 3)
@@ -141,21 +184,19 @@ class TestEstimateScales:
         assert est[1] == pytest.approx(want, rel=1e-14)
 
     def test_matches_oracle(self):
+        # the pooled annulus means stat_field fits: windowed-sum increments
         rng = np.random.default_rng(41)
         y = rng.poisson(4.0, size=(10, 10))
         ladder = ScaleLadder.of("circle", [0, 1, 3])
         model = ModelSpec("poisson")
         null = estimate_null(Grid(y), model)
+        x, m = aggregate_scales(Grid(y), ladder)
+        dx, dm = np.diff(x, axis=0, prepend=0), np.diff(m, axis=0, prepend=0)
         for pixel in [(0, 0), (5, 5), (9, 2)]:
             want_null, want = oracle_estimates(y, "poisson", ladder, pixel)
             assert null == want_null
-            got = estimate_scales(Grid(y), model, ladder, null, pixel)
+            got = np.maximum(dx[:, pixel[0], pixel[1]] / dm[:, pixel[0], pixel[1]], null)
             assert got == pytest.approx(want, rel=1e-12)
-
-    def test_pixel_bounds_checked(self):
-        g = Grid(np.ones((4, 4), dtype=int) * 2)
-        with pytest.raises(InvalidInputError):
-            estimate_scales(g, ModelSpec("poisson"), TWO_SCALE, 2.0, (4, 0))
 
 
 class TestStatBinomial:
@@ -271,7 +312,7 @@ class TestStatNormal:
         mu0 = estimate_null(Grid(y), model)
         for i in range(10):
             for j in range(10):
-                est = estimate_scales(Grid(y), model, ladder, mu0, (i, j))
+                _, est = oracle_estimates(y, "normal", ladder, (i, j))
                 dm = []
                 prev = 0
                 for r in range(ladder.scale_count):
@@ -335,14 +376,29 @@ class TestZeroOnClip:
         for field, vals, model in zip(cases, grids, models):
             g = Grid(vals)
             null = estimate_null(g, model)
+            trials = None if model.trials is None else model.trials.values
             clipped_everywhere = 0
             for i in range(11):
                 for j in range(11):
-                    est = estimate_scales(g, model, ladder, null, (i, j))
-                    if np.all(est == null):
+                    _, est = oracle_estimates(vals, model.family, ladder, (i, j), trials=trials)
+                    if np.all(np.array(est) == null):
                         clipped_everywhere += 1
                         assert field.values[i, j] == 0.0
             assert clipped_everywhere > 0  # the check must actually bite
+
+    def test_no_negative_zero(self):
+        rng = np.random.default_rng(79)
+        y = rng.integers(0, 8, size=(11, 11))
+        ladder = ScaleLadder.of("square", [0, 2])
+        cases = [
+            stat_field(Grid(y), ModelSpec("binomial", trials=Grid(np.full((11, 11), 40))), ladder),
+            stat_field(Grid(np.maximum(y, 1)), ModelSpec("poisson"), ladder),
+            stat_field(Grid(y - 7.0), ModelSpec("normal", sigma=1.0), ladder),
+        ]
+        for field in cases:
+            zeros = field.values == 0.0
+            assert zeros.any()
+            assert not np.signbit(field.values[zeros]).any(), field.model.family
 
 
 def test_adjusted_proportions_strictly_inside_unit_interval():

@@ -12,7 +12,6 @@ from mcd.threshold import (
     DetectionResult,
     VarField,
     auto_min_belt_count,
-    detect,
     neighborhood_variability,
     run_detection,
     scan_thresholds,
@@ -75,7 +74,7 @@ class TestScanThresholds:
         v[:, 4] = 1.0
         scan = scan_thresholds(make_stat(t), VarField(values=v), threshold_count=11)
         assert 0.0 < scan.t_star < 10.0
-        mask = detect(make_stat(t), scan.t_star).mask
+        mask = make_stat(t).values > scan.t_star
         np.testing.assert_array_equal(mask, t == 10.0)
 
     def test_brute_force_belt_means(self):
@@ -177,6 +176,11 @@ def test_auto_min_belt_count_scaling():
     assert auto_min_belt_count(1) == 1
 
 
+def detect(stat: StatField, t_star: float) -> DetectionResult:
+    """The mask rule of `run_detection`: T strictly above the threshold."""
+    return DetectionResult(stat, VarField(np.zeros(stat.values.shape)), stat.values > t_star, t_star)
+
+
 class TestDetect:
     def test_extreme_thresholds(self):
         t = make_stat(np.arange(16.0).reshape(4, 4))
@@ -200,10 +204,6 @@ class TestDetect:
         hi = detect(t, 2.0).mask
         assert np.all(lo[hi])  # {T > 2} subset of {T > 1}
 
-    def test_nonfinite_threshold_rejected(self):
-        with pytest.raises(InvalidInputError):
-            detect(make_stat(np.ones((3, 3))), np.nan)
-
 
 class TestRunDetection:
     def test_disc_signal_normal(self):
@@ -219,10 +219,14 @@ class TestRunDetection:
         tn = (~res.mask & ~disc).sum() / (~disc).sum()
         assert tp > 0.9 and tn > 0.9
         assert res.scan is not None and res.scan.peak_ratio > 1.2
+        np.testing.assert_array_equal(res.mask, res.stat.values > res.t_star)
+        assert res.var.values.shape == res.mask.shape
 
-    def test_no_signal_propagates(self):
-        with pytest.raises(NoSignalError):
-            run_detection(Grid(np.full((12, 12), 5)), POISSON)
+    def test_constant_field_gives_empty_mask(self):
+        res = run_detection(Grid(np.full((12, 12), 5)), POISSON)
+        assert res.scan is None and np.isnan(res.t_star)
+        assert res.detected_count == 0 and res.mask.shape == (12, 12)
+        assert np.all(res.stat.values == 0.0)
 
     def test_boundary_variability_dominates(self):
         # two-region field: mean V on region-boundary pixels should beat
@@ -274,5 +278,5 @@ def test_varfield_rejects_negative():
 
 
 def test_detection_result_shape():
-    res = DetectionResult(mask=np.zeros((2, 2), dtype=bool), t_star=1.0)
+    res = detect(make_stat(np.zeros((2, 2))), 1.0)
     assert res.detected_count == 0
