@@ -228,22 +228,21 @@ def circular_scan(
         raise ConfigurationError(f"cluster_alpha must be in (0,1), got {cluster_alpha}")
     model.check_counts(grid)
 
-    y = grid.values.astype(np.float64)
     rows, cols = grid.shape
     if model.family == "normal":
         model = replace(model, sigma=model.noise_sigma(grid))
     if model.trials is not None:
-        exposure = model.trials.values.astype(np.float64)
+        exposure = model.trials
     else:
-        exposure = np.ones((rows, cols))
-    y_tot = float(y.sum())
-    e_tot = float(exposure.sum())
+        exposure = Grid(np.ones((rows, cols), dtype=np.int64))
+    y_tot = float(grid.values.sum())
+    e_tot = float(exposure.values.sum())
     # the fitted null: one pooled rate (or mean) per unit of exposure
     null_mean = np.full((rows, cols), y_tot / e_tot)
 
     # per-radius zone exposures and the half-exposure eligibility cap;
     # these depend only on the trials map, not the replicate data
-    exposure_sat = build_sat(Grid(exposure))
+    exposure_sat = build_sat(exposure)
     exposures_by_radius = []
     allowed = {}
     for r in radii:
@@ -255,8 +254,10 @@ def circular_scan(
     if not any(a.any() for a in allowed.values()):
         raise ConfigurationError("every zone exceeds half the total exposure; reduce radii")
 
-    # observed zone LLRs, kept per radius for the greedy cluster pass
-    obs_sat = build_sat(Grid(y))
+    # observed zone LLRs, kept per radius for the greedy cluster pass; count
+    # grids (and their replicates) stay integer, so their zone sums are
+    # exact int64, while Normal grids sum in extended precision
+    obs_sat = build_sat(grid)
     obs_llrs = np.zeros((len(radii), rows, cols))
     for k, (window, e_in) in enumerate(exposures_by_radius):
         y_in, _ = window_sum_field(obs_sat, window)
@@ -268,36 +269,44 @@ def circular_scan(
     rep_max = np.empty(mc_reps)
     for rep in range(mc_reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        sim = model.sample(rng, null_mean).astype(np.float64)
+        sim = model.sample(rng, null_mean)
         rep_max[rep] = _max_llr(model, sim, exposures_by_radius, e_tot, allowed)
 
     def zone_pvalue(llr: float) -> float:
         return float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))
 
-    def zone_mask(center, radius) -> np.ndarray:
-        mask = np.zeros((rows, cols), dtype=bool)
-        for di, hw in WindowSpec("circle", radius).row_halfwidths():
-            i = center[0] + di
-            if 0 <= i < rows:
-                mask[i, max(0, center[1] - hw) : center[1] + hw + 1] = True
-        return mask
+    # each radius's circle as a boolean patch centred in its bounding box
+    patches = {}
+    for window, _ in exposures_by_radius:
+        r = window.radius
+        di, dj = np.array(window.offsets()).T
+        patches[r] = np.zeros((2 * r + 1, 2 * r + 1), dtype=bool)
+        patches[r][di + r, dj + r] = True
+
+    def zone_box(i, j, radius):
+        """The zone's bounding box clipped to the grid, and its patch there."""
+        i0, i1 = max(0, i - radius), min(rows, i + radius + 1)
+        j0, j1 = max(0, j - radius), min(cols, j + radius + 1)
+        patch = patches[radius][i0 - i + radius:i1 - i + radius, j0 - j + radius:j1 - j + radius]
+        return (slice(i0, i1), slice(j0, j1)), patch
 
     order = np.argsort(obs_llrs.ravel())[::-1]
     claimed = np.zeros((rows, cols), dtype=bool)
     clusters: list[ScanCluster] = []
     for flat in order:
-        k, i, j = np.unravel_index(flat, obs_llrs.shape)
+        k, i, j = (int(v) for v in np.unravel_index(flat, obs_llrs.shape))
         llr = float(obs_llrs[k, i, j])
         if llr <= 0.0:
             break
-        mask = zone_mask((int(i), int(j)), radii[k])
-        if (claimed & mask).any():
+        box, patch = zone_box(i, j, radii[k])
+        if (claimed[box] & patch).any():
             continue
         p = zone_pvalue(llr)
         if clusters and p > cluster_alpha:
             break
-        clusters.append(ScanCluster(center=(int(i), int(j)), radius=radii[k],
-                                    mask=mask, llr=llr, p_value=p))
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[box] = patch
+        clusters.append(ScanCluster(center=(i, j), radius=radii[k], mask=mask, llr=llr, p_value=p))
         claimed |= mask
         if p > cluster_alpha:
             break

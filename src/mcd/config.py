@@ -145,8 +145,12 @@ def typed_config(raw: dict[str, str]) -> dict[str, object]:
 
 
 def load_config_file(path) -> dict[str, object]:
-    with open(path, "r") as fh:
-        return typed_config(parse_config_text(fh.read()))
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    return typed_config(parse_config_text(text))
 
 
 def parse_override(text: str) -> tuple[str, object]:

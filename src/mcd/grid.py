@@ -3,7 +3,10 @@
 Window sums are served from a summed-area table (SAT): any axis-aligned
 rectangle is four lookups. Circles are evaluated as a stack of per-row
 rectangle segments, so they are exact too. Windows overlapping the grid
-edge are clipped, and reported cardinalities reflect the clipping.
+edge are clipped, and reported cardinalities reflect the clipping. For a
+whole field of windows, each window row is four plain slices of the SAT
+padded by the window radius (zeros above and left, the last row and
+column repeated below and right), so edge clipping needs no index arrays.
 
 Integer grids accumulate in int64 (exact); real grids accumulate in
 extended precision so SAT queries do not drift relative to direct sums.
@@ -218,28 +221,54 @@ def build_sat(grid: Grid) -> SummedAreaTable:
     return SummedAreaTable(table=table, rows=grid.rows, cols=grid.cols, integer=grid.is_integer())
 
 
+def _padded_table(table: np.ndarray, pad: int) -> np.ndarray:
+    """The SAT with `pad` extra rows and columns on every side.
+
+    Rows above and columns left of the table read 0; rows below and
+    columns right repeat the last row and column. A lookup that the
+    window clips at an edge then reads the same entry as the clipped one.
+    """
+    rows1, cols1 = table.shape
+    out = np.zeros((rows1 + 2 * pad, cols1 + 2 * pad), dtype=table.dtype)
+    out[pad:pad + rows1, pad:pad + cols1] = table
+    out[pad + rows1:, pad:pad + cols1] = table[-1]
+    out[:, pad + cols1:] = out[:, pad + cols1 - 1:pad + cols1]
+    return out
+
+
 def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Window sums and clipped counts for every pixel at once.
 
     Returns (sums, counts), each of shape (rows, cols). Sums are int64 for
-    integer grids, float64 otherwise.
+    integer grids, float64 otherwise. Each window row is four plain slices
+    of the SAT padded by the window radius, combined as
+    t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the
+    grid reads 0); counts come from the clipped row and column extents.
     """
     rows, cols = sat.rows, sat.cols
-    t = sat.table
-    ii = np.arange(rows)[:, None]
-    jj = np.arange(cols)[None, :]
-    out_dtype = np.int64 if sat.integer else np.longdouble
-    sums = np.zeros((rows, cols), dtype=out_dtype)
-    counts = np.zeros((rows, cols), dtype=np.int64)
-    for di, hw in window.row_halfwidths():
-        src = ii + di
-        valid = (src >= 0) & (src < rows)
-        r = np.where(valid, src, 0)
-        c0 = np.clip(jj - hw, 0, cols - 1)
-        c1 = np.clip(jj + hw, 0, cols - 1)
-        seg = t[r + 1, c1 + 1] - t[r, c1 + 1] - t[r + 1, c0] + t[r, c0]
-        sums += np.where(valid, seg, 0)
-        counts += np.where(valid, c1 - c0 + 1, 0)
+    pad = window.radius
+    t = _padded_table(sat.table, pad)
+    sums = np.zeros((rows, cols), dtype=t.dtype)
+    seg = np.empty_like(sums)
+    halfwidths = window.row_halfwidths()
+    # window rows of one half-width share their clipped column widths, so
+    # counts is one small product: rows_per_hw[k, i] window rows of
+    # half-width hws[k] reach grid row i
+    hws = sorted({hw for _, hw in halfwidths})
+    rows_per_hw = np.zeros((len(hws), rows), dtype=np.int64)
+    for di, hw in halfwidths:
+        if not -rows < di < rows:
+            continue  # the whole window row lies off the grid
+        top, bottom = t[pad + di:pad + di + rows], t[pad + di + 1:pad + di + 1 + rows]
+        c0, c1 = slice(pad - hw, pad - hw + cols), slice(pad + hw + 1, pad + hw + 1 + cols)
+        np.subtract(bottom[:, c1], top[:, c1], out=seg)
+        np.subtract(seg, bottom[:, c0], out=seg)
+        np.add(seg, top[:, c0], out=seg)
+        sums += seg
+        rows_per_hw[hws.index(hw), max(0, -di):min(rows, rows - di)] += 1
+    jj = np.arange(cols)
+    widths = [np.minimum(jj + hw, cols - 1) - np.maximum(jj - hw, 0) + 1 for hw in hws]
+    counts = rows_per_hw.T @ np.array(widths)
     if not sat.integer:
         sums = sums.astype(np.float64)
     return sums, counts

@@ -42,8 +42,11 @@ def read_grid_csv(path) -> tuple[Grid, int | None]:
     `cols` values. Violations raise GridParseError naming the 1-based
     offending line.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise GridParseError(f"cannot read {path}: {exc.strerror}") from None
     if not lines:
         raise GridParseError("empty file", line=1)
     head = lines[0].split(",")
@@ -67,26 +70,23 @@ def read_grid_csv(path) -> tuple[Grid, int | None]:
             raise GridParseError(f"expected {cols} values, found {len(parts)}", line=i)
         tokens.append(parts)
 
-    def parse_all(cast):
-        out = np.empty((rows, cols), dtype=np.int64 if cast is int else np.float64)
-        for i, parts in enumerate(tokens):
-            for j, tok in enumerate(parts):
-                out[i, j] = cast(tok)
-        return out
-
     try:
-        values = parse_all(int)
+        ints = [list(map(int, parts)) for parts in tokens]
     except ValueError:
+        ints = None  # some token is not an integer: a real-valued grid
+    values = np.empty((rows, cols), dtype=np.int64 if ints is not None else np.float64)
+    for i, parts in enumerate(tokens):
         try:
-            values = parse_all(float)
+            values[i] = ints[i] if ints is not None else list(map(float, parts))
+        except OverflowError:
+            raise GridParseError("integer value outside the int64 range", line=i + 2) from None
         except ValueError:
-            for i, parts in enumerate(tokens, start=2):
-                for tok in parts:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise GridParseError(f"bad numeric value {tok!r}", line=i) from None
-            raise  # unreachable: some token must have failed above
+            for tok in parts:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise GridParseError(f"bad numeric value {tok!r}", line=i + 2) from None
+            raise  # unreachable: some token of this row must have failed above
     if not np.all(np.isfinite(values)):
         raise GridParseError("grid values must be finite")
     return Grid(values), trials

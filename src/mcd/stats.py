@@ -14,7 +14,9 @@ clipped below by the null estimate so the alternative can only be an
 elevation. The Binomial annulus median is exact (it agrees with
 np.median over the enumerated annulus) and is found by rank selection on
 the distinct cell values, in O(rows * cols) memory whatever the annulus
-size. Scale weights are increment cardinalities, so a radius-0
+size; level indices, counts and ranks are held in the narrowest unsigned
+dtypes that fit (one byte per pixel for up to 255 levels or annulus
+cells). Scale weights are increment cardinalities, so a radius-0
 first scale contributes with weight 1.
 """
 
@@ -171,12 +173,14 @@ def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarra
 
     Bisection on [0, top]: each probe counts the annulus cells at or below
     the probe with one compare per offset, so memory stays a few fields.
+    Levels keep the dtype of `idx` and counts that of `rank`, so the caller
+    picks dtypes that hold `top + 1` and the largest annulus size.
     """
-    lo = np.zeros(idx.shape, dtype=np.int32)
-    hi = np.full(idx.shape, top, dtype=np.int32)
-    count = np.empty(idx.shape, dtype=np.int32)
+    lo = np.zeros(idx.shape, dtype=idx.dtype)
+    hi = np.full(idx.shape, top, dtype=idx.dtype)
+    count = np.empty(idx.shape, dtype=rank.dtype)
     for _ in range(top.bit_length()):  # ceil(log2(top + 1)) halvings
-        mid = (lo + hi) >> 1
+        mid = lo + ((hi - lo) >> 1)
         count.fill(0)
         for dst, src in pairs:
             count[dst] += idx[src] <= mid[dst]
@@ -194,12 +198,14 @@ def _annulus_median_fields(cellvals: np.ndarray, ladder: ScaleLadder) -> np.ndar
     cell values, so no stack of annulus values is ever built.
     """
     levels, idx = np.unique(cellvals, return_inverse=True)
-    idx = idx.reshape(cellvals.shape).astype(np.int32)
+    # the narrowest unsigned dtypes that hold every level index and count:
+    # the bisection is memory-bound, so fewer bytes per pixel run faster
+    idx = idx.reshape(cellvals.shape).astype(np.min_scalar_type(levels.size))
     fields = np.empty((ladder.scale_count,) + cellvals.shape)
     fields[0] = cellvals  # the radius-0 annulus is the pixel itself
     for r in range(1, ladder.scale_count):
         pairs = shifted_slices(cellvals.shape, ladder.annulus_offsets(r))
-        size = np.zeros(cellvals.shape, dtype=np.int32)
+        size = np.zeros(cellvals.shape, dtype=np.min_scalar_type(len(pairs)))
         for dst, _ in pairs:
             size[dst] += 1
         if np.any(size == 0):

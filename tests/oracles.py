@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: annulus membership by direct
 offset enumeration, estimates from first principles, and T(s) as
--2 (log L0 - log L1) with per-cell scipy log-likelihoods. No summed-area
-tables, no closed-form cancellation.
+-2 (log L0 - log L1) with per-cell scipy log-likelihoods. No closed-form
+cancellation; the one summed-area-table routine is the index-gather form
+of the window sums, kept to pin the sliced form bit for bit.
 """
 
 import numpy as np
@@ -19,6 +20,33 @@ def annulus_cells(ladder, pixel, r, shape):
         for di, dj in ladder.annulus_offsets(r)
         if 0 <= i + di < rows and 0 <= j + dj < cols
     ]
+
+
+def gather_window_sum_field(sat, window):
+    """Window sums and counts by clipped fancy-index gathers on the unpadded SAT.
+
+    The four-term arithmetic and the order of the additions are those of
+    `mcd.grid.window_sum_field`, so both give the same bits, longdouble
+    sums included.
+    """
+    rows, cols = sat.rows, sat.cols
+    t = sat.table
+    ii = np.arange(rows)[:, None]
+    jj = np.arange(cols)[None, :]
+    sums = np.zeros((rows, cols), dtype=t.dtype)
+    counts = np.zeros((rows, cols), dtype=np.int64)
+    for di, hw in window.row_halfwidths():
+        src = ii + di
+        valid = (src >= 0) & (src < rows)
+        r = np.where(valid, src, 0)
+        c0 = np.clip(jj - hw, 0, cols - 1)
+        c1 = np.clip(jj + hw, 0, cols - 1)
+        seg = t[r + 1, c1 + 1] - t[r, c1 + 1] - t[r + 1, c0] + t[r, c0]
+        sums += np.where(valid, seg, 0)
+        counts += np.where(valid, c1 - c0 + 1, 0)
+    if not sat.integer:
+        sums = sums.astype(np.float64)
+    return sums, counts
 
 
 def oracle_null(values, family, trials=None):

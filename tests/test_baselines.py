@@ -258,6 +258,18 @@ class TestCircularScan:
         centers = {tuple(np.round(c.center, -1)) for c in res.clusters[:2]}
         assert centers == {(10, 10), (30, 30)}
 
+    def test_overlap_is_tested_on_the_circle_not_its_box(self):
+        # the discs' bounding boxes share cells (12..13, 12..13), one of which
+        # lies in the first circle, but the circles themselves are disjoint
+        y = np.full((40, 40), 2)
+        y[circle_mask((40, 40), (10, 10), 3)] = 20
+        y[circle_mask((40, 40), (15, 15), 3)] = 15
+        res = circular_scan(Grid(y), ModelSpec("poisson"), radii=(1, 2, 3), mc_reps=19, seed=5)
+        got = [(c.center, c.radius) for c in res.clusters[:2]]
+        assert got == [((10, 10), 3), ((15, 15), 3)]
+        for c in res.clusters:
+            np.testing.assert_array_equal(c.mask, circle_mask((40, 40), c.center, c.radius))
+
     def test_determinism(self):
         rng = np.random.default_rng(317)
         y = rng.poisson(3.0, size=(15, 15))

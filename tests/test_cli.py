@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, determinism, env fallback, start-up imports."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,6 +55,24 @@ class TestDetect:
         path.write_text("2,3\n1,2,3\n4,5\n")
         assert run("detect", path, "--family", "poisson", "--out-dir", tmp_path) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["input", "--trials-file"])
+    def test_missing_path_exits_2_naming_it(self, tmp_path, capsys, flag):
+        missing = tmp_path / "absent.csv"
+        if flag == "input":
+            argv = ("detect", missing, "--family", "poisson")
+        else:
+            argv = ("detect", FIXTURE, "--family", "binomial", "--trials-file", missing)
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}: No such file or directory" in err
+        assert "Traceback" not in err
+
+    def test_int64_overflow_exits_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("2,2\n1,2\n3,99999999999999999999999\n")
+        assert run("detect", path, "--family", "poisson", "--out-dir", tmp_path) == 2
+        assert "line 3: integer value outside the int64 range" in capsys.readouterr().err
 
     def test_constant_normal_grid_exits_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -137,6 +156,11 @@ class TestSimulate:
         report = json.loads((out / "summary.json").read_text())
         assert set(report) == {"mcd"}
         assert set(report["mcd"]) == {"0.6"}
+
+    def test_missing_config_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert run("simulate", "--config", missing, "--out-dir", tmp_path) == 2
+        assert f"cannot read {missing}: No such file or directory" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = self.config(tmp_path, widgets=7)
@@ -297,6 +321,45 @@ class TestTheorems:
         assert run("theorems", "--delta", "1", "--reps", "5",
                    "--dims", "20x20", "--out-dir", out_b) == 0
         assert (out_a / "theorems.json").read_bytes() == (out_b / "theorems.json").read_bytes()
+
+
+# SHA-256 of the fixture's artifacts as the gather-based window sums and
+# the int32 median bisection wrote them; the sliced sums, the narrow-dtype
+# bisection and the integer scan tables must reproduce every byte
+ARTIFACT_DIGESTS = {
+    "detect": {
+        "detection.txt": "4405008db18714f00c7c7fb29a420fd0a0b492e912cf420670a4d29c151b7c2b",
+        "mask.csv": "b94c0c68859667be796700ed9e2745d1def4b5902b9c59ec291864e1b38ba019",
+        "mask.pgm": "8634340e02bbc0477e1aeb24584fc9dbf4828582bd0cc2b6eb1d45b097142535",
+        "stat.csv": "79537d2478665bb93a25eaa4a1e7af776bad0cc0123ce516fc498b2ae58e8ad5",
+        "var.csv": "a51da7fc6deb0beb20d97ee6abb10238f10db4780ab1067971e09d3caf6f5a61",
+    },
+    "detect-five-scale": {
+        "detection.txt": "c59065a415d4211185e885d0dc6180a27db63ecae72d779103a7615713454941",
+        "mask.csv": "ed8726fb300fef637abad6ab1ce948ec95e507473c29663bc0edde6ac146a73a",
+        "mask.pgm": "64fa2ca0f3e7891c216891dfa8b932f2540a14c4dec2e574b4bfd25716f872d6",
+        "stat.csv": "f9a58c363ccfc8bf2c4ea33d3621f3acf6c372a83c9e5885a86bd6623f6d7f5f",
+        "var.csv": "a51da7fc6deb0beb20d97ee6abb10238f10db4780ab1067971e09d3caf6f5a61",
+    },
+    "scan": {
+        "scan.json": "909b891471ea9b94bf8ccd836211bbfb92fb38dbf7989dacf9aa04fa41f9605e",
+        "scan_mask.csv": "0d331dcc93d68057cc35f93550e6cbdf9743c11cefe6609cbd268192d5576896",
+        "scan_mask.pgm": "1bbc176c551ff10b668f3fe7697d4fb01bc33251acf0d5e8bfc4fdb512c2fa36",
+    },
+}
+ARTIFACT_ARGV = {
+    "detect": ("detect", FIXTURE, "--family", "binomial"),
+    "detect-five-scale": ("detect", FIXTURE, "--family", "binomial", "--ladder", "five-scale"),
+    "scan": ("scan", FIXTURE, "--family", "binomial", "--radii", "1-20", "--mc-reps", "19",
+             "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_DIGESTS))
+def test_fixture_artifacts_byte_identical(tmp_path, name):
+    assert run(*ARTIFACT_ARGV[name], "--out-dir", tmp_path) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ARTIFACT_DIGESTS[name]}
+    assert got == ARTIFACT_DIGESTS[name]
 
 
 class TestStartup:

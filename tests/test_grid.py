@@ -16,6 +16,7 @@ from mcd.grid import (
     shifted_slices,
     window_sum_field,
 )
+from oracles import gather_window_sum_field
 
 
 def brute_window_sum(values, center, window):
@@ -152,6 +153,23 @@ class TestWindowSum:
 
 
 class TestWindowSumField:
+    @pytest.mark.parametrize("dims", [(17, 23), (1, 9), (9, 1), (1, 1), (4, 6)])
+    @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
+    def test_bit_identical_to_gathers(self, dims, real):
+        rng = np.random.default_rng(dims[0] * 100 + dims[1])
+        if real:
+            values = rng.normal(loc=1e3, scale=7.0, size=dims) * rng.choice([1.0, 1e-6, 1e6], size=dims)
+        else:
+            values = rng.integers(-10**12, 10**12, size=dims)
+        sat = build_sat(Grid(values))
+        # radii from none to past every grid side
+        for radius in (0, 1, 3, max(dims) - 1, max(dims), max(dims) + 4):
+            for shape in ("square", "circle"):
+                got = window_sum_field(sat, WindowSpec(shape, radius))
+                want = gather_window_sum_field(sat, WindowSpec(shape, radius))
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (shape, radius)
+
     @pytest.mark.parametrize("shape,radius", [("square", 0), ("square", 5), ("circle", 1), ("circle", 4)])
     def test_field_matches_pointwise(self, shape, radius):
         rng = np.random.default_rng(17)

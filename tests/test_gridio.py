@@ -1,5 +1,7 @@
 """CSV grid and PGM round-trips, parse errors with line numbers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,28 @@ class TestCsvParseErrors:
     def test_bad_token_names_line(self, tmp_path):
         path = self.write(tmp_path, "2,2\n1,2\n3,oops\n")
         with pytest.raises(GridParseError, match="line 3"):
+            read_grid_csv(path)
+
+    @pytest.mark.parametrize("token", ["99999999999999999999999", "-9223372036854775809",
+                                       "9223372036854775808"])
+    def test_int64_overflow_names_line(self, tmp_path, token):
+        path = self.write(tmp_path, f"3,2\n1,2\n3,4\n{token},5\n")
+        with pytest.raises(GridParseError, match="line 4: integer value outside the int64 range"):
+            read_grid_csv(path)
+
+    def test_int64_extremes_parse(self, tmp_path):
+        path = self.write(tmp_path, "1,2\n-9223372036854775808,9223372036854775807\n")
+        grid, _ = read_grid_csv(path)
+        assert grid.values.tolist() == [[-(2**63), 2**63 - 1]]
+
+    def test_large_integer_in_real_grid_parses_as_float(self, tmp_path):
+        path = self.write(tmp_path, "2,2\n99999999999999999999999,1\n2,0.5\n")
+        grid, _ = read_grid_csv(path)
+        np.testing.assert_array_equal(grid.values, [[1e23, 1.0], [2.0, 0.5]])
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(GridParseError, match=re.escape(f"cannot read {path}: No such file")):
             read_grid_csv(path)
 
     def test_missing_rows(self, tmp_path):

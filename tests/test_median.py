@@ -85,6 +85,30 @@ def test_even_and_clipped_annuli():
     )
 
 
+@pytest.mark.parametrize("level_count", [255, 256, 257])
+def test_level_index_dtype_boundary(level_count):
+    # level indices switch from one byte to two at 256 distinct values; the
+    # bisection's `mid + 1` must not wrap on either side of the switch
+    rng = np.random.default_rng(level_count)
+    cellvals = rng.permutation(np.arange(20 * 20) % level_count).reshape(20, 20) / level_count
+    assert np.unique(cellvals).size == level_count
+    ladder = ScaleLadder.of("square", [0, 1, 3])
+    np.testing.assert_array_equal(
+        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+    )
+
+
+def test_annulus_wider_than_a_byte():
+    # the square:0..square:8 ring holds 288 cells, so counts and ranks need
+    # two bytes; the 20x20 grid clips it to fewer than 256 at the edges
+    cellvals = binomial_cellvals(20, 20, True, 9)
+    ladder = ScaleLadder.of("square", [0, 8])
+    assert len(ladder.annulus_offsets(1)) == 288
+    np.testing.assert_array_equal(
+        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+    )
+
+
 def test_single_level_grid():
     cellvals = np.full((6, 5), 0.25)
     fields = _annulus_median_fields(cellvals, ScaleLadder.of("circle", [0, 2, 3]))
