@@ -109,8 +109,25 @@ def _build_model(args, grid: Grid, trials_uniform: int | None) -> ModelSpec:
     return model
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an --out-dir that names a file or lies under one, before any work.
+
+    The directory is made when the first artifact is written, so a run
+    refused for any other reason leaves nothing behind.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigurationError(f"cannot create output directory {path}: {probe} is not a directory")
+
+
 def _out(args, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {args.out_dir}: {exc.strerror}") from None
     return os.path.join(args.out_dir, name)
 
 
@@ -395,6 +412,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out_dir(args.out_dir)
         return args.func(args)
     except GridParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

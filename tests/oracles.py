@@ -4,7 +4,8 @@ Everything here is deliberately naive: annulus membership by direct
 offset enumeration, estimates from first principles, and T(s) as
 -2 (log L0 - log L1) with per-cell scipy log-likelihoods. No closed-form
 cancellation; the one summed-area-table routine is the index-gather form
-of the window sums, kept to pin the sliced form bit for bit.
+of the window sums, kept to pin the sliced form bit for bit, and the grid
+CSV reader is the row-at-a-time parser, kept to pin the C-parsed one.
 """
 
 import numpy as np
@@ -203,3 +204,72 @@ def read_pgm(path):
     if magic != b"P5" or maxval != b"255" or len(raster) != rows * cols:
         raise ValueError(f"{path}: not a {rows}x{cols} binary PGM")
     return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols)
+
+
+class CsvParseError(ValueError):
+    """A parse failure of `read_grid_csv_rows`, worded as `mcd` words its own."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def read_grid_csv_rows(path):
+    """(values, trials or None) of a grid CSV, every token through Python's int/float.
+
+    Integer-ness is decided over the whole grid; lines are numbered by
+    their place in the file, blank lines included.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise CsvParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
+    if not lines:
+        raise CsvParseError("empty file", line=1)
+    head = lines[0].split(",")
+    if len(head) not in (2, 3):
+        raise CsvParseError(f"header must be rows,cols[,trials]; got {lines[0]!r}", line=1)
+    try:
+        rows, cols = int(head[0]), int(head[1])
+        trials = int(head[2]) if len(head) == 3 else None
+    except ValueError:
+        raise CsvParseError(f"non-integer header field in {lines[0]!r}", line=1) from None
+    if rows < 1 or cols < 1 or (trials is not None and trials < 1):
+        raise CsvParseError(f"header values must be positive; got {lines[0]!r}", line=1)
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip() != ""]
+    if len(body) != rows:
+        raise CsvParseError(f"expected {rows} data lines, found {len(body)}", line=len(lines))
+
+    tokens = []
+    for line, text in body:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != cols:
+            raise CsvParseError(f"expected {cols} values, found {len(parts)}", line=line)
+        tokens.append(parts)
+    try:
+        ints = [list(map(int, parts)) for parts in tokens]
+    except ValueError:
+        ints = None
+    values = np.empty((rows, cols), dtype=np.int64 if ints is not None else np.float64)
+    for i, ((line, _), parts) in enumerate(zip(body, tokens)):
+        try:
+            values[i] = ints[i] if ints is not None else list(map(float, parts))
+        except OverflowError:
+            raise CsvParseError("integer value outside the int64 range", line=line) from None
+        except ValueError:
+            bad = next(tok for tok in parts if not _parses_as_float(tok))
+            raise CsvParseError(f"bad numeric value {bad!r}", line=line) from None
+    if not np.all(np.isfinite(values)):
+        raise CsvParseError("grid values must be finite")
+    return values, trials
+
+
+def _parses_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcd import cli
 from mcd.cli import main
 from mcd.grid import Grid
 from mcd.gridio import read_grid_csv, write_grid_csv
@@ -111,6 +112,56 @@ class TestDetect:
         lines = (tmp_path / "stat.csv").read_text().splitlines()[1:]
         tokens = [tok for line in lines for tok in line.split(",")]
         assert "0" in tokens and "-0" not in tokens
+
+
+class TestPathErrors:
+    BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))
+    ARGV = {
+        "detect": ("detect", FIXTURE, "--family", "binomial"),
+        "fdr": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05"),
+        "scan": ("scan", FIXTURE, "--family", "binomial", "--radii", "1-3", "--mc-reps", "19"),
+        "simulate": ("simulate", "--config", "data/table2_lshape.cfg"),
+    }
+
+    @pytest.mark.parametrize("command", ["detect", "fdr", "scan", "trials-file"])
+    def test_non_utf8_grid_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(self.BINARY)
+        if command == "trials-file":
+            argv = (*self.ARGV["detect"], "--trials-file", path)
+        else:
+            argv = (command, path, *self.ARGV[command][2:])
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["detect", "fdr", "scan", "simulate"])
+    def test_out_dir_naming_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                            command, under):
+        taken = tmp_path / "ok.csv"
+        taken.write_text("1,1\n1\n")
+        out = taken / "sub" if under else taken
+
+        def no_work(*args):
+            raise AssertionError("input read before --out-dir was checked")
+
+        monkeypatch.setattr(cli, "read_grid_csv", no_work)
+        monkeypatch.setattr(cli, "load_config_file", no_work)
+        assert run(*self.ARGV[command], "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}: " in err
+        assert "Traceback" not in err
+
+    def test_unmakeable_out_dir_exits_2(self, tmp_path, capsys):
+        # a dangling symlink passes the up-front check; making the directory fails
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing" / "target")
+        assert run(*self.ARGV["detect"], "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}: File exists" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -323,9 +374,11 @@ class TestTheorems:
         assert (out_a / "theorems.json").read_bytes() == (out_b / "theorems.json").read_bytes()
 
 
-# SHA-256 of the fixture's artifacts as the gather-based window sums and
-# the int32 median bisection wrote them; the sliced sums, the narrow-dtype
-# bisection and the integer scan tables must reproduce every byte
+# SHA-256 of artifacts as the gather-based window sums, the int32 median
+# bisection and the row-at-a-time CSV writer wrote them; the sliced sums,
+# the narrow-dtype bisection, the integer scan tables and both branches of
+# the CSV writer (each distinct value formatted once, or a block of rows
+# at a time) must reproduce every byte
 ARTIFACT_DIGESTS = {
     "detect": {
         "detection.txt": "4405008db18714f00c7c7fb29a420fd0a0b492e912cf420670a4d29c151b7c2b",
@@ -341,24 +394,68 @@ ARTIFACT_DIGESTS = {
         "stat.csv": "f9a58c363ccfc8bf2c4ea33d3621f3acf6c372a83c9e5885a86bd6623f6d7f5f",
         "var.csv": "a51da7fc6deb0beb20d97ee6abb10238f10db4780ab1067971e09d3caf6f5a61",
     },
+    "detect-normal": {
+        "detection.txt": "33c066b6d2227dcd845ffa381765c3ffc3a01c869a4440d32ccb1ffcd3fd5d9b",
+        "mask.csv": "48762f9d06b829ec02ee87e10e16eedefbd4fe9ca822bea7e7b1476373c11077",
+        "stat.csv": "d9206b181661b3df271173a5cf47717c6124878b520c26dc25a761c7851aba3b",
+        "var.csv": "bd60d8266738d470d09f26a9c604377c6250d1913230a80e43fcd8b0888b0632",
+    },
+    "fdr": {
+        "fdr.json": "6a1847052f3d987e915764e239b05c1c7e4219a5349c119901d449b0e6e81a4e",
+        "fdr_mask.csv": "e22bd922f8d73b0bd9a390cd5a0b6dfd0409639a0d379e33daf9d5a617076960",
+        "fdr_mask.pgm": "8518d7cb39efcbe5971c055ade27800b8efaefdf27ed95a699092c0fb7b9b57d",
+        "pvalues.csv": "952edaca22ecbd5308491406375baca2c1df891977db15e65f79cb5c398dd072",
+    },
+    "fdr-approx": {
+        "fdr.json": "498ff2f9f84e56b3639b691b0cec9824909d433e124ff18d4307e35fc60f56da",
+        "fdr_mask.csv": "73118cfba52d6922b322ae562ed9798cbe10d7fed5aedb7e5ae3ca0d44740384",
+        "fdr_mask.pgm": "c5bebc89a140ac101fcf933d7d94173ceb336e683f1822355d94f8e3c943c7dc",
+        "pvalues.csv": "35d343f6da97a0fcef1496090719473dd564672536d948ded8c16f2faa299c5f",
+    },
     "scan": {
         "scan.json": "909b891471ea9b94bf8ccd836211bbfb92fb38dbf7989dacf9aa04fa41f9605e",
         "scan_mask.csv": "0d331dcc93d68057cc35f93550e6cbdf9743c11cefe6609cbd268192d5576896",
         "scan_mask.pgm": "1bbc176c551ff10b668f3fe7697d4fb01bc33251acf0d5e8bfc4fdb512c2fa36",
     },
+    "simulate": {
+        "prob_fdr_0.25.csv": "e731ebee1cec5abc1b3bad77ea9d355eed73e52938107120fe6c3fc4773192b9",
+        "prob_mcd_0.25.csv": "03815cc0dd671ac2453a7ce64e9863bd5810b918b430b8e30320b77ada2f41bf",
+        "roc_0.25.csv": "7e4c1945a5ccae85ce4db7ff8fa35b886ed602bf7bf160e5cec02d7e1e498753",
+        "summary.json": "548693ba7a74c07266adbe43996a889d3ae7c8e2404c4750276aa1208a2c7b0a",
+    },
 }
+
+
+def normal_input(directory):
+    """A seeded 40x40 normal grid written with `.17g`, independently of mcd's writer."""
+    truth = gen_shape("disc", (40, 40), radius=8.0)
+    values = np.random.default_rng(17).normal(np.where(truth, 0.8, 0.0), 1.0)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "normal.csv"
+    path.write_text("40,40\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n"
+                                        for row in values))
+    return path
+
+
 ARTIFACT_ARGV = {
     "detect": ("detect", FIXTURE, "--family", "binomial"),
     "detect-five-scale": ("detect", FIXTURE, "--family", "binomial", "--ladder", "five-scale"),
+    "detect-normal": ("detect", normal_input, "--family", "normal"),
+    "fdr": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05"),
+    "fdr-approx": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05", "--approx"),
     "scan": ("scan", FIXTURE, "--family", "binomial", "--radii", "1-20", "--mc-reps", "19",
              "--seed", "3"),
+    "simulate": ("simulate", "--config", "data/table2_lshape.cfg", "--set", "dims=40x40",
+                 "--set", "methods=mcd,fdr", "--replicates", "3", "--seed", "11", "--roc", "20"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_DIGESTS))
 def test_fixture_artifacts_byte_identical(tmp_path, name):
-    assert run(*ARTIFACT_ARGV[name], "--out-dir", tmp_path) == 0
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ARTIFACT_DIGESTS[name]}
+    argv = [a(tmp_path / "in") if callable(a) else a for a in ARTIFACT_ARGV[name]]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 0
+    got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+           for f in ARTIFACT_DIGESTS[name]}
     assert got == ARTIFACT_DIGESTS[name]
 
 

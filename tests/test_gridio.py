@@ -1,14 +1,19 @@
-"""CSV grid and PGM round-trips, parse errors with line numbers."""
+"""CSV grid and PGM round-trips, parse errors with line numbers, and both
+CSV paths against their one-cell-at-a-time references."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mcd import gridio
 from mcd.errors import GridParseError, InvalidInputError
 from mcd.grid import Grid
 from mcd.gridio import read_grid_csv, write_grid_csv, write_mask_pgm, write_prob_pgm
-from oracles import read_pgm
+from oracles import CsvParseError, read_grid_csv_rows, read_pgm
 
 
 class TestCsvRoundTrip:
@@ -62,6 +67,54 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidInputError):
             write_grid_csv(tmp_path / "g.csv", Grid(np.ones((2, 2))), trials_uniform=0)
 
+    def test_negative_zero_kept_apart_from_zero(self, tmp_path):
+        # two distinct bit patterns in six cells: each is formatted once
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, Grid(np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]])))
+        assert path.read_bytes() == b"2,3\n-0,0,-0\n0,-0,0\n"
+
+
+SPECIAL_REALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+                 float(2**63 - 1), float(-(2**63)), 0.1, 1 / 3, 1.0, -2.5, 1e17]
+INT64_EXTREMES = [-(2**63), 2**63 - 1, -(2**63) + 1, 0, -1, 1]
+SHAPES = {
+    "1x1": st.just((1, 1)),
+    "1xn": st.tuples(st.just(1), st.integers(2, 30)),
+    "nx1": st.tuples(st.integers(2, 30), st.just(1)),
+    "rxc": st.tuples(st.integers(2, 9), st.integers(2, 9)),
+}
+
+
+@st.composite
+def grids(draw, shape):
+    """A grid whose cells repeat a pool of values; the pool size spans the one-third rule."""
+    rows, cols = draw(shape)
+    if draw(st.booleans()):
+        dtype, element = np.int64, st.one_of(st.sampled_from(INT64_EXTREMES),
+                                             st.integers(-(2**63), 2**63 - 1))
+    else:
+        dtype, element = np.float64, st.one_of(
+            st.sampled_from(SPECIAL_REALS), st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(element, min_size=1, max_size=rows * cols))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array([pool[i] for i in picks], dtype=dtype).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_writer_bytes_are_each_cell_formatted_alone(tmp_path, shape, data):
+    values = data.draw(grids(SHAPES[shape]))
+    block = data.draw(st.sampled_from([1, 2, 5, gridio._BLOCK_CELLS]))
+    path = tmp_path / "g.csv"
+    with mock.patch.object(gridio, "_BLOCK_CELLS", block):
+        write_grid_csv(path, Grid(values))
+    cell = str if values.dtype == np.int64 else (lambda x: format(x, ".17g"))
+    want = f"{values.shape[0]},{values.shape[1]}\n" + "".join(
+        ",".join(map(cell, row)) + "\n" for row in values.tolist())
+    assert path.read_bytes() == want.encode()
+
 
 class TestCsvParseErrors:
     def write(self, tmp_path, text):
@@ -101,6 +154,29 @@ class TestCsvParseErrors:
         with pytest.raises(GridParseError, match=re.escape(f"cannot read {path}: No such file")):
             read_grid_csv(path)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+        with pytest.raises(GridParseError, match=re.escape(f"cannot read {path}: not UTF-8 text")):
+            read_grid_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2,2\n\n1,2\n3,x\n", "line 4: bad numeric value 'x'"),
+        ("2,3\n1,2,3\n  \n\n4,5\n", "line 5: expected 3 values, found 2"),
+        ("2,2\n1,2\n\n3,99999999999999999999999\n", "line 4: integer value outside the int64 range"),
+    ], ids=["bad-token", "short-row", "int64-overflow"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(GridParseError, match=re.escape(message)):
+            read_grid_csv(path)
+
+    def test_non_ascii_letter_is_not_a_digit(self, tmp_path):
+        # numpy's int64 parser reads "\u01fe5" as 4625; Python's int refuses it
+        path = tmp_path / "bad.csv"
+        path.write_bytes("1,2\n\u01fe5,1\n".encode())
+        with pytest.raises(GridParseError, match=re.escape("line 2: bad numeric value '\u01fe5'")):
+            read_grid_csv(path)
+
     def test_missing_rows(self, tmp_path):
         path = self.write(tmp_path, "3,2\n1,2\n3,4\n")
         with pytest.raises(GridParseError, match="expected 3 data lines"):
@@ -122,6 +198,61 @@ class TestCsvParseErrors:
         grid, _ = read_grid_csv(path)
         assert not grid.is_integer()
         np.testing.assert_array_equal(grid.values, [[1.0, 2.5, 3.0]])
+
+
+PLAIN_INT = st.integers(-(10**6), 10**6).map(str)
+PLAIN_REAL = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([format(x, ".17g"), repr(x), format(x, ".3g")]))
+INTEGRAL_REAL = st.integers(-(10**6), 10**6).map(lambda i: f"{i}.0")
+ODD_TOKENS = st.sampled_from([
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "99999999999999999999999", "-0", "+7", "0007", "1_000", "-1_0",
+    "\u0661\u0662\u0663", "\uff15", "nan", "-inf", "inf", "Infinity", "+nan", "1.0", "-2.0",
+    "3.", "1e3", "1E-3", ".5", "1e400", "1e-400", "-0.0", "x", "", "1 2", "0x10", "1.5_0", "--1",
+    "\u01fe5", "5\u0903", "1e19", "-9.3e18", "9.2e18",
+])
+PADDING = st.sampled_from(["", "", " ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x1f", "\u200b"])
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid CSV text: plain integer, real or integer-valued real tokens, in half the grids with odd tokens and
+    padding among them, blank lines, and now and then a row of the wrong length or a
+    header that miscounts the rows."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    plain = draw(st.sampled_from([PLAIN_INT, PLAIN_REAL, INTEGRAL_REAL,
+                                  st.one_of(PLAIN_INT, PLAIN_REAL, INTEGRAL_REAL)]))
+    if draw(st.booleans()):
+        token = st.tuples(PADDING, st.one_of(plain, plain, plain, ODD_TOKENS), PADDING)
+    else:
+        token = st.tuples(st.sampled_from(["", " ", "\t"]), plain, st.just(""))
+    token = token.map("".join)
+    lines = []
+    for _ in range(rows):
+        width = cols + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(token, min_size=width, max_size=width))))
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1))
+    extra_row = draw(st.sampled_from([0] * 12 + [-1, 1]))
+    header = f"{max(rows + extra_row, 1)},{cols}" + draw(st.sampled_from(["", "", ",100"]))
+    return header + "\n" + "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: dtype, value bits and trials, or its error."""
+    try:
+        values, trials = reader(path)
+    except (GridParseError, CsvParseError) as exc:
+        return ("error", str(exc), exc.line)
+    values = getattr(values, "values", values)
+    return ("grid", values.dtype.str, values.shape, values.tobytes(), trials)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=grid_texts())
+def test_reader_matches_row_parser(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_outcome(read_grid_csv, path) == read_outcome(read_grid_csv_rows, path)
 
 
 class TestPgm:
