@@ -63,6 +63,14 @@ def _int_at_least(minimum: int):
 _positive_int = _int_at_least(1)
 
 
+def _auto_or_positive_int(text: str) -> int | None:
+    """argparse type for a belt floor: 'auto' (None) or an integer >= 1."""
+    return None if text.strip().lower() == "auto" else _positive_int(text)
+
+
+_auto_or_positive_int.__name__ = "int or 'auto'"  # argparse quotes it in "invalid ... value"
+
+
 def _resolve_seed(flag_value: int | None, config_value: int | None = None) -> int:
     """Precedence: explicit flag, config file, MCD_SEED env, 0."""
     if flag_value is not None:
@@ -142,15 +150,9 @@ def _cmd_detect(args) -> int:
     grid, trials_uniform = read_grid_csv(args.input)
     model = _build_model(args, grid, trials_uniform)
     ladder = parse_ladder(args.ladder)
-    if args.min_belt_count == "auto":
+    floor = args.min_belt_count
+    if floor is None:
         floor = auto_min_belt_count(grid.rows * grid.cols)
-    else:
-        try:
-            floor = int(args.min_belt_count)
-        except ValueError:
-            raise ConfigurationError(
-                f"--min-belt-count must be an integer or 'auto', got {args.min_belt_count!r}"
-            ) from None
     result = run_detection(grid, model, ladder=ladder, threshold_count=args.threshold_count,
                            min_belt_count=floor)
     scan = result.scan
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scales, e.g. square:0,square:5 or five-scale")
     p.add_argument("--threshold-count", type=_int_at_least(3), default=100,
                    help="number of thresholds in the belt ladder (at least 3)")
-    p.add_argument("--min-belt-count", default="auto",
+    p.add_argument("--min-belt-count", type=_auto_or_positive_int, default="auto",
                    help="belt occupancy floor for threshold choice (int or 'auto')")
     p.set_defaults(func=_cmd_detect)
 

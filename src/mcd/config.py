@@ -146,10 +146,12 @@ def typed_config(raw: dict[str, str]) -> dict[str, object]:
 
 def load_config_file(path) -> dict[str, object]:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return typed_config(parse_config_text(text))
 
 

@@ -273,31 +273,3 @@ def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> tuple[np.ndarr
         sums = sums.astype(np.float64)
     return sums, counts
 
-
-def aggregate_scales(
-    grid: Grid,
-    ladder: ScaleLadder,
-    trials: Grid | None = None,
-):
-    """Per-pixel aggregation vectors over the ladder's nested windows.
-
-    Returns (x, m) or (x, m, n) when a trials map is supplied, each an
-    array of shape (scale_count, rows, cols): x[r] is the windowed sum of
-    the grid, m[r] the clipped window cardinality, n[r] the windowed sum
-    of trials.
-    """
-    if trials is not None:
-        validate_trials(grid, trials)
-    sat = build_sat(grid)
-    tsat = build_sat(trials) if trials is not None else None
-    m = ladder.scale_count
-    x = np.empty((m, grid.rows, grid.cols), dtype=sat.table.dtype if sat.integer else np.float64)
-    counts = np.empty((m, grid.rows, grid.cols), dtype=np.int64)
-    n = np.empty_like(x) if trials is not None else None
-    for r, w in enumerate(ladder.windows):
-        x[r], counts[r] = window_sum_field(sat, w)
-        if tsat is not None:
-            n[r], _ = window_sum_field(tsat, w)
-    if n is not None:
-        return x, counts, n
-    return x, counts

@@ -1,8 +1,9 @@
 """Bit-exact file formats: CSV grids and binary PGM masks/maps.
 
-CSV grid layout: a header line ``rows,cols`` (optionally
+CSV grid layout: a header line ``rows,cols`` (the reader also takes
 ``rows,cols,trials_uniform`` when every cell shares one trial count),
 then `rows` lines of `cols` comma-separated values in row-major order.
+A UTF-8 byte-order mark before the header is ignored.
 Integer grids round-trip exactly; reals are written with 17 significant
 digits, which round-trips IEEE doubles exactly as well.
 
@@ -43,13 +44,9 @@ from .grid import Grid
 _BLOCK_CELLS = 1 << 14  # cells formatted per write; bounds the text held at once
 
 
-def write_grid_csv(path, grid: Grid, trials_uniform: int | None = None) -> None:
-    """Write a grid, optionally recording a uniform per-cell trial count."""
+def write_grid_csv(path, grid: Grid) -> None:
+    """Write a grid under a ``rows,cols`` header."""
     header = f"{grid.rows},{grid.cols}"
-    if trials_uniform is not None:
-        if int(trials_uniform) < 1:
-            raise InvalidInputError(f"trials_uniform must be >= 1, got {trials_uniform}")
-        header += f",{int(trials_uniform)}"
     values, fmt = grid.values, "%d" if grid.is_integer() else "%.17g"
     levels = _distinct_bits(values)
     with open(path, "w", newline="\n") as fh:
@@ -106,7 +103,7 @@ def read_grid_csv(path) -> tuple[Grid, int | None]:
     offending line of the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             lines = fh.read().splitlines()
     except OSError as exc:
         raise GridParseError(f"cannot read {path}: {exc.strerror}") from None

@@ -18,7 +18,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .grid import Grid, ScaleLadder, WindowSpec
-from .shapes import boundary_partition, boundary_type_counts, gen_shape
+from .shapes import SHAPE_KINDS, boundary_partition, boundary_type_counts, gen_shape
 from .stats import FAMILIES, ModelSpec, stat_field
 from .threshold import neighborhood_variability, run_detection
 
@@ -66,6 +66,27 @@ class SimConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"unknown method {m!r}; expected subset of {METHODS}")
+        if self.threshold_count < 3:
+            raise ConfigurationError(f"threshold_count must be >= 3, got {self.threshold_count}")
+        if self.min_belt_count is not None and self.min_belt_count < 1:
+            raise ConfigurationError(
+                f"min_belt_count must be >= 1 or auto, got {self.min_belt_count}")
+        if self.scan_reps < 19:
+            raise ConfigurationError(
+                f"scan_reps must be >= 19 for usable p-values, got {self.scan_reps}")
+        if not 0.0 < self.cluster_alpha < 1.0:
+            raise ConfigurationError(f"cluster_alpha must be in (0,1), got {self.cluster_alpha}")
+        shape = str(self.shape).lower()
+        if shape not in SHAPE_KINDS:
+            raise ConfigurationError(f"unknown shape {shape!r}; expected one of {SHAPE_KINDS}")
+        if shape == "custom" and self.shape_mask is None:
+            raise ConfigurationError(
+                "shape 'custom' needs a shape_mask, which a manifest cannot give")
+        if self.disc_radius is not None:
+            if shape != "disc":
+                raise ConfigurationError(f"disc_radius applies to shape 'disc' only, not {shape!r}")
+            if not self.disc_radius > 0:
+                raise ConfigurationError(f"disc_radius must be positive, got {self.disc_radius}")
 
     def truth_mask(self) -> np.ndarray:
         return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)

@@ -18,6 +18,11 @@ size; level indices, counts and ranks are held in the narrowest unsigned
 dtypes that fit (one byte per pixel for up to 255 levels or annulus
 cells). Scale weights are increment cardinalities, so a radius-0
 first scale contributes with weight 1.
+
+T is built in one pass over the ladder: each scale's window sums come
+from summed-area tables, and only the previous scale's sums and the
+running total are kept, so memory is linear in the grid and does not
+depend on the number of scales.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .grid import Grid, ScaleLadder, aggregate_scales, shifted_slices, validate_trials
+from .grid import Grid, ScaleLadder, build_sat, shifted_slices, validate_trials, window_sum_field
 
 FAMILIES = ("binomial", "poisson", "normal")
 
@@ -190,19 +195,18 @@ def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarra
     return lo
 
 
-def _annulus_median_fields(cellvals: np.ndarray, ladder: ScaleLadder) -> np.ndarray:
-    """Clipped-annulus median of `cellvals` around every pixel, per scale.
+def _annulus_medians(cellvals: np.ndarray, ladder: ScaleLadder):
+    """Clipped-annulus median of `cellvals` around every pixel, yielded scale by scale.
 
     Exact: the median of c values is the mean of the order statistics of
     ranks (c-1)//2 and c//2, each selected on the indices of the distinct
-    cell values, so no stack of annulus values is ever built.
+    cell values, so no stack of annulus values, or of scales, is built.
     """
     levels, idx = np.unique(cellvals, return_inverse=True)
     # the narrowest unsigned dtypes that hold every level index and count:
     # the bisection is memory-bound, so fewer bytes per pixel run faster
     idx = idx.reshape(cellvals.shape).astype(np.min_scalar_type(levels.size))
-    fields = np.empty((ladder.scale_count,) + cellvals.shape)
-    fields[0] = cellvals  # the radius-0 annulus is the pixel itself
+    yield cellvals  # the radius-0 annulus is the pixel itself
     for r in range(1, ladder.scale_count):
         pairs = shifted_slices(cellvals.shape, ladder.annulus_offsets(r))
         size = np.zeros(cellvals.shape, dtype=np.min_scalar_type(len(pairs)))
@@ -212,15 +216,7 @@ def _annulus_median_fields(cellvals: np.ndarray, ladder: ScaleLadder) -> np.ndar
             raise InternalInvariantError(f"annulus {r} clips to empty somewhere on the grid")
         q_lo = _rank_level(idx, pairs, (size - 1) // 2, levels.size - 1)
         q_hi = _rank_level(idx, pairs, size // 2, levels.size - 1)
-        fields[r] = (levels[q_lo] + levels[q_hi]) / 2
-    return fields
-
-
-def _increments(stacked: np.ndarray) -> np.ndarray:
-    """Differences along the scale axis with an implicit zero at scale 0."""
-    out = stacked.astype(np.float64)
-    out[1:] -= stacked[:-1]
-    return out
+        yield (levels[q_lo] + levels[q_hi]) / 2
 
 
 def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
@@ -229,21 +225,27 @@ def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
     The alternative at scale r is the annulus median of the cell values
     for Binomial and the pooled annulus mean otherwise, clipped below by
     the null; the likelihood ratio is `ModelSpec.llr` on the annulus
-    totals.
+    totals, which are each scale's window sums less the previous scale's.
     """
     model.check_counts(grid)
     null = estimate_null(grid, model)
     sigma = model.noise_sigma(grid) if model.family == "normal" else 1.0
-    x, m, *trial_sums = aggregate_scales(grid, ladder, trials=model.trials)
-    if np.any(m[0] == 0) or np.any(np.diff(m, axis=0) == 0):
-        raise InternalInvariantError("a ladder annulus clips to empty on this grid")
-    dx = _increments(x)
-    if model.family == "binomial":
-        de = _increments(trial_sums[0])
-        alt = _annulus_median_fields(model.cell_values(grid), ladder)
-    else:
-        de = _increments(m)
-        alt = dx / de
-    llr = model.llr(dx, de, np.maximum(alt, null), null)
+    binomial = model.family == "binomial"
+    sat = build_sat(grid)
+    trials_sat = build_sat(model.trials) if binomial else None
+    medians = _annulus_medians(model.cell_values(grid), ladder) if binomial else None
+    total = np.zeros(grid.shape)
+    x_prev = e_prev = 0
+    for window in ladder.windows:
+        x, e = window_sum_field(sat, window)  # exposure e is the cell count,
+        if binomial:  # or the trials
+            e, _ = window_sum_field(trials_sat, window)
+        dx, de = x.astype(np.float64) - x_prev, e.astype(np.float64) - e_prev
+        if np.any(de == 0):
+            raise InternalInvariantError("a ladder annulus clips to empty on this grid")
+        alt = dx / de if medians is None else next(medians)
+        # scale by scale, the same additions as summing a stack over its scale axis
+        total += model.llr(dx, de, np.maximum(alt, null), null)
+        x_prev, e_prev = x, e
     # dividing by sigma^2 after the sum (1 for the count families) keeps T exact
-    return StatField(values=2.0 * llr.sum(axis=0) / (sigma * sigma), model=model, ladder=ladder)
+    return StatField(values=2.0 * total / (sigma * sigma), model=model, ladder=ladder)

@@ -105,10 +105,20 @@ def neighborhood_variability(grid: Grid, model: ModelSpec) -> VarField:
     if grid.rows < 2 or grid.cols < 2:
         raise InvalidInputError("variability needs a grid of at least 2x2")
     cellvals = model.cell_values(grid)
-    stack = np.full((len(CROSS_OFFSETS),) + cellvals.shape, np.nan)
-    for k, (dst, src) in enumerate(shifted_slices(cellvals.shape, CROSS_OFFSETS)):
-        stack[k][dst] = cellvals[src]
-    return VarField(values=np.nanvar(stack, axis=0, ddof=1))
+    pairs = shifted_slices(cellvals.shape, CROSS_OFFSETS)
+    # np.nanvar's additions, in its order: count and total, the mean, then
+    # the squared deviations, each summed over the offsets in turn
+    count = np.zeros(cellvals.shape, dtype=np.uint8)
+    total = np.zeros(cellvals.shape)
+    for dst, src in pairs:
+        count[dst] += 1
+        total[dst] += cellvals[src]
+    mean = total / count
+    squares = np.zeros(cellvals.shape)
+    for dst, src in pairs:
+        dev = cellvals[src] - mean[dst]
+        squares[dst] += dev * dev
+    return VarField(values=squares / (count - 1))
 
 
 def auto_min_belt_count(n_pixels: int) -> int:

@@ -23,10 +23,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def write_constant(tmp_path, value=20, trials=100, dims=(30, 30)):
-    path = tmp_path / "const.csv"
-    write_grid_csv(path, Grid(np.full(dims, value)), trials_uniform=trials)
+def artifact_bytes(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(Path(out_dir).iterdir())}
+
+
+def write_with_trials_header(path, values, trials):
+    """A count grid under a ``rows,cols,trials`` header, which the reader accepts."""
+    write_grid_csv(path, Grid(values))
+    rows, cols = np.shape(values)
+    text = path.read_text()
+    path.write_text(f"{rows},{cols},{trials}" + text[text.index("\n"):])
     return path
+
+
+def write_constant(tmp_path, value=20, trials=100, dims=(30, 30)):
+    return write_with_trials_header(tmp_path / "const.csv", np.full(dims, value), trials)
 
 
 class TestDetect:
@@ -92,6 +103,20 @@ class TestDetect:
     def test_bad_min_belt_count_exits_2(self, tmp_path):
         assert run("detect", FIXTURE, "--family", "binomial",
                    "--min-belt-count", "soon", "--out-dir", tmp_path) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_min_belt_count_below_1_exits_2(self, tmp_path, capsys, value):
+        assert run("detect", FIXTURE, "--family", "binomial",
+                   "--min-belt-count", value, "--out-dir", tmp_path) == 2
+        assert f"--min-belt-count: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "stat.csv").exists()
+
+    def test_byte_order_mark_grid_same_artifacts(self, tmp_path):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(FIXTURE).read_bytes())
+        for path, out in ((FIXTURE, tmp_path / "a"), (marked, tmp_path / "b")):
+            assert run("detect", path, "--family", "binomial", "--out-dir", out) == 0
+        assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
 
     def test_threshold_count_below_3_exits_2(self, tmp_path, capsys):
         assert run("detect", FIXTURE, "--family", "binomial",
@@ -223,6 +248,47 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--set", "alt_param=0.1",
                    "--out-dir", tmp_path) == 2  # alternative below null
 
+    @pytest.mark.parametrize("setting, key", [
+        ("threshold_count=2", "threshold_count"),
+        ("min_belt_count=0", "min_belt_count"),
+        ("scan_reps=5", "scan_reps"),
+        ("cluster_alpha=1", "cluster_alpha"),
+        ("cluster_alpha=0", "cluster_alpha"),
+        ("shape=blob", "shape"),
+        ("shape=custom", "shape"),
+        ("disc_radius=0", "disc_radius"),
+        ("shape=lshape", "disc_radius"),  # disc_radius = 6 stays in the manifest
+    ])
+    def test_bad_knob_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, setting, key):
+        from mcd import simulate
+
+        def no_work(*args):
+            raise AssertionError("a replicate was simulated before the manifest was checked")
+
+        monkeypatch.setattr(simulate, "simulate_grid", no_work)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", self.config(tmp_path), "--set", setting,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_binary_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(TestPathErrors.BINARY)
+        assert run("simulate", "--config", path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_manifest_same_artifacts(self, tmp_path):
+        cfg = self.config(tmp_path)
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        for path, out in ((cfg, tmp_path / "a"), (marked, tmp_path / "b")):
+            assert run("simulate", "--config", path, "--out-dir", out) == 0
+        assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+
 
 class TestScanFdr:
     def test_scan_artifacts_and_determinism(self, tmp_path):
@@ -337,8 +403,7 @@ class TestScanFdr:
 
     def test_header_trials_ignored_unless_binomial(self, tmp_path):
         counts = np.random.default_rng(5).poisson(4.0, size=(20, 20))
-        path = tmp_path / "counts.csv"
-        write_grid_csv(path, Grid(counts), trials_uniform=30)
+        path = write_with_trials_header(tmp_path / "counts.csv", counts, 30)
         assert run("detect", path, "--family", "poisson", "--out-dir", tmp_path / "out") == 0
 
 
@@ -378,7 +443,9 @@ class TestTheorems:
 # bisection and the row-at-a-time CSV writer wrote them; the sliced sums,
 # the narrow-dtype bisection, the integer scan tables and both branches of
 # the CSV writer (each distinct value formatted once, or a block of rows
-# at a time) must reproduce every byte
+# at a time) must reproduce every byte. The Poisson circle, per-cell trials
+# and normal five-scale cases were recorded from the stacked statistic
+# (every scale's sums held at once) that the scale-by-scale loop replaced
 ARTIFACT_DIGESTS = {
     "detect": {
         "detection.txt": "4405008db18714f00c7c7fb29a420fd0a0b492e912cf420670a4d29c151b7c2b",
@@ -399,6 +466,27 @@ ARTIFACT_DIGESTS = {
         "mask.csv": "48762f9d06b829ec02ee87e10e16eedefbd4fe9ca822bea7e7b1476373c11077",
         "stat.csv": "d9206b181661b3df271173a5cf47717c6124878b520c26dc25a761c7851aba3b",
         "var.csv": "bd60d8266738d470d09f26a9c604377c6250d1913230a80e43fcd8b0888b0632",
+    },
+    "detect-normal-five-scale": {
+        "detection.txt": "bc6634616479826247c3cb0ab2e84692415f00750176281ba1a0d9a90edc69a5",
+        "mask.csv": "f2d77d067c18be017749b671e83911f0408ae72f9d0a0bf07aae12ca207995cf",
+        "mask.pgm": "d4858b90d0735adbe3abb98f7383c3ca80c3ba431f43724fc01785b84d3b9744",
+        "stat.csv": "7ce27d5a19d0065bde07fb950bb515cc3fc61eae99ac9b1664e578565b38cb5b",
+        "var.csv": "bd60d8266738d470d09f26a9c604377c6250d1913230a80e43fcd8b0888b0632",
+    },
+    "detect-poisson-circles": {
+        "detection.txt": "4da9f9d1d18a6dc372eafedd475844d59302664895528f130155965d4004b982",
+        "mask.csv": "b4969b3f40adf60ba098bfe784451994eb0422b712cd7c8597e5bf62be943f8e",
+        "mask.pgm": "138d453ab22851de4f88dda431c3b87b7cabd0cc73393f525267ca50d0bb0902",
+        "stat.csv": "ef05035383173cb4e180bfd157038c90062fe9a98542aa4c8c1ce67752d0aad7",
+        "var.csv": "04c6aa698caa3ec42cd0d383750f0f626a93f961ecfb55b7ddb1db5496f470f4",
+    },
+    "detect-trials-file-five-scale": {
+        "detection.txt": "8a3d025972bf96c0cc4488aba687a214274cf439204952ec5741899a1680a4f9",
+        "mask.csv": "0bebed65189d012f55a2d97e6049bc4dba5ecd2b641ed7e48b1b122a30a6ecbb",
+        "mask.pgm": "03fcc182917266625ef2e80ca1d9b9c7e9ec1dec4620bb1c8e33a4ce6018c837",
+        "stat.csv": "4d35110748fb2920819aee115ed1a48ae2df3bda935ee90a3606736c0e9c79bd",
+        "var.csv": "6eda0d8b7069d9629dcf28acc2ad67570cb06fcbb90e38c41c356508ecd7fa35",
     },
     "fdr": {
         "fdr.json": "6a1847052f3d987e915764e239b05c1c7e4219a5349c119901d449b0e6e81a4e",
@@ -437,10 +525,46 @@ def normal_input(directory):
     return path
 
 
+def _write_text_grid(path, header, values, fmt):
+    path.write_text(header + "\n" + "".join(",".join(format(x, fmt) for x in row.tolist()) + "\n"
+                                           for row in values))
+    return path
+
+
+def poisson_input(directory):
+    """A seeded 45x38 Poisson grid with a raised disc, written independently of mcd's writer."""
+    truth = gen_shape("disc", (45, 38), radius=7.0)
+    counts = np.random.default_rng(31).poisson(np.where(truth, 9.0, 4.0))
+    directory.mkdir(parents=True, exist_ok=True)
+    return _write_text_grid(directory / "poisson.csv", "45,38", counts, "d")
+
+
+def binomial_trials(directory):
+    """Seeded per-cell trials (1 to 60) for `binomial_counts`, so there are many levels."""
+    trials = np.random.default_rng(37).integers(1, 61, size=(33, 41))
+    directory.mkdir(parents=True, exist_ok=True)
+    return _write_text_grid(directory / "trials.csv", "33,41", trials, "d")
+
+
+def binomial_counts(directory):
+    """Seeded binomial counts over `binomial_trials`, with a raised disc."""
+    trials = np.random.default_rng(37).integers(1, 61, size=(33, 41))
+    truth = gen_shape("disc", (33, 41), radius=6.0)
+    counts = np.random.default_rng(41).binomial(trials, np.where(truth, 0.45, 0.25))
+    directory.mkdir(parents=True, exist_ok=True)
+    return _write_text_grid(directory / "counts.csv", "33,41", counts, "d")
+
+
 ARTIFACT_ARGV = {
     "detect": ("detect", FIXTURE, "--family", "binomial"),
     "detect-five-scale": ("detect", FIXTURE, "--family", "binomial", "--ladder", "five-scale"),
     "detect-normal": ("detect", normal_input, "--family", "normal"),
+    "detect-normal-five-scale": ("detect", normal_input, "--family", "normal",
+                                 "--ladder", "five-scale"),
+    "detect-poisson-circles": ("detect", poisson_input, "--family", "poisson",
+                               "--ladder", "circle:0,circle:3,circle:6"),
+    "detect-trials-file-five-scale": ("detect", binomial_counts, "--family", "binomial",
+                                      "--trials-file", binomial_trials, "--ladder", "five-scale"),
     "fdr": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05"),
     "fdr-approx": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05", "--approx"),
     "scan": ("scan", FIXTURE, "--family", "binomial", "--radii", "1-20", "--mc-reps", "19",

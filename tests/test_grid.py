@@ -11,11 +11,11 @@ from mcd.grid import (
     ScaleLadder,
     SummedAreaTable,
     WindowSpec,
-    aggregate_scales,
     build_sat,
     shifted_slices,
     window_sum_field,
 )
+from mcd.stats import ModelSpec, stat_field
 from oracles import gather_window_sum_field
 
 
@@ -193,11 +193,20 @@ class TestWindowSumField:
                 assert sums[i, j] == pytest.approx(want, rel=1e-9)
 
 
+def aggregate(grid, ladder):
+    """(scales, rows, cols) stacks of window sums x and clipped counts m, one window at a time."""
+    sat = build_sat(grid)
+    x, m = zip(*(window_sum_field(sat, w) for w in ladder.windows))
+    return np.stack(x), np.stack(m)
+
+
 class TestAggregateScales:
+    """The per-scale aggregation vectors that `stat_field` reads one window at a time."""
+
     def test_constant_grid_two_scale(self):
         c = 3
         grid = Grid(np.full((15, 15), c))
-        x, m = aggregate_scales(grid, ScaleLadder.default_two_scale())
+        x, m = aggregate(grid, ScaleLadder.default_two_scale())
         assert x[0, 7, 7] == c and x[1, 7, 7] == 121 * c
         assert m[0, 7, 7] == 1 and m[1, 7, 7] == 121
         # corner: the 11x11 window clips to 6x6
@@ -207,7 +216,9 @@ class TestAggregateScales:
         rng = np.random.default_rng(23)
         n = np.full((9, 9), 10)
         y = rng.integers(0, 11, size=(9, 9))
-        x, m, ntot = aggregate_scales(Grid(y), ScaleLadder.of("square", [0, 2]), trials=Grid(n))
+        ladder = ScaleLadder.of("square", [0, 2])
+        x, m = aggregate(Grid(y), ladder)
+        ntot, _ = aggregate(Grid(n), ladder)
         assert ntot[1, 4, 4] == 250
         assert x[1, 4, 4] == y[2:7, 2:7].sum()
         assert m[1, 4, 4] == 25
@@ -216,7 +227,7 @@ class TestAggregateScales:
         rng = np.random.default_rng(29)
         values = rng.integers(0, 20, size=(15, 15))
         ladder = ScaleLadder((WindowSpec("square", 0), WindowSpec("circle", 2), WindowSpec("square", 4)))
-        x, m = aggregate_scales(Grid(values), ladder)
+        x, m = aggregate(Grid(values), ladder)
         for r, w in enumerate(ladder.windows):
             for i in range(0, 15, 2):
                 for j in range(0, 15, 2):
@@ -224,11 +235,12 @@ class TestAggregateScales:
                     assert (x[r, i, j], m[r, i, j]) == want
 
     def test_trials_validation(self):
+        # the statistic checks the trials map before it sums either grid
         y = Grid(np.full((3, 3), 5))
-        with pytest.raises(InvalidInputError):
-            aggregate_scales(y, ScaleLadder.of("square", [0, 1]), trials=Grid(np.full((3, 3), 4)))
-        with pytest.raises(InvalidInputError):
-            aggregate_scales(y, ScaleLadder.of("square", [0, 1]), trials=Grid(np.full((4, 3), 10)))
+        ladder = ScaleLadder.of("square", [0, 1])
+        for trials in (np.full((3, 3), 4), np.full((4, 3), 10)):
+            with pytest.raises(InvalidInputError):
+                stat_field(y, ModelSpec("binomial", trials=Grid(trials)), ladder)
 
 
 @given(
@@ -254,7 +266,7 @@ def test_scale_monotonicity(seed):
     """For nonnegative data, windowed sums and cardinalities grow with scale."""
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 40, size=(13, 13))
-    x, m = aggregate_scales(Grid(values), ScaleLadder.five_scale())
+    x, m = aggregate(Grid(values), ScaleLadder.five_scale())
     assert np.all(np.diff(x, axis=0) >= 0)
     assert np.all(np.diff(m, axis=0) >= 1)
 

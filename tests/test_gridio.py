@@ -51,21 +51,27 @@ class TestCsvRoundTrip:
     def test_integer_bytes(self, tmp_path):
         values = np.array([[0, -7, 2**62], [-(2**63), 10**17, 1]], dtype=np.int64)
         path = tmp_path / "g.csv"
-        write_grid_csv(path, Grid(values), trials_uniform=9)
-        want = "2,3,9\n" + "".join(",".join(str(int(x)) for x in row) + "\n" for row in values)
+        write_grid_csv(path, Grid(values))
+        want = "2,3\n" + "".join(",".join(str(int(x)) for x in row) + "\n" for row in values)
         assert path.read_bytes() == want.encode()
 
     def test_trials_header(self, tmp_path):
-        grid = Grid(np.arange(12).reshape(3, 4))
         path = tmp_path / "g.csv"
-        write_grid_csv(path, grid, trials_uniform=50)
+        path.write_text("3,4,50\n" + "".join(f"{4 * i},{4 * i + 1},{4 * i + 2},{4 * i + 3}\n"
+                                              for i in range(3)))
         back, trials = read_grid_csv(path)
         assert trials == 50
-        np.testing.assert_array_equal(back.values, grid.values)
+        np.testing.assert_array_equal(back.values, np.arange(12).reshape(3, 4))
 
-    def test_bad_trials_rejected(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            write_grid_csv(tmp_path / "g.csv", Grid(np.ones((2, 2))), trials_uniform=0)
+    @pytest.mark.parametrize("text", ["3,4,50\n", "3,4\n"], ids=["trials-header", "plain"])
+    def test_byte_order_mark_ignored(self, tmp_path, text):
+        body = "".join(f"{4 * i},{4 * i + 1},{4 * i + 2},{4 * i + 3}\n" for i in range(3))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text + body)
+        marked.write_bytes(b"\xef\xbb\xbf" + (text + body).encode())
+        (want, want_trials), (got, got_trials) = read_grid_csv(plain), read_grid_csv(marked)
+        assert got_trials == want_trials
+        np.testing.assert_array_equal(got.values, want.values)
 
     def test_negative_zero_kept_apart_from_zero(self, tmp_path):
         # two distinct bit patterns in six cells: each is formatted once

@@ -1,4 +1,5 @@
-"""Binomial annulus median: exact agreement with enumeration, and linear memory."""
+"""Binomial annulus median: exact agreement with enumeration; statistic memory
+linear in cells and flat in the number of scales."""
 
 import tracemalloc
 
@@ -9,13 +10,20 @@ from hypothesis import strategies as st
 
 from mcd.errors import InternalInvariantError, InvalidInputError
 from mcd.grid import Grid, ScaleLadder, WindowSpec
-from mcd.stats import ModelSpec, _annulus_median_fields, adjusted_proportions, stat_field
+from mcd.stats import ModelSpec, _annulus_medians, adjusted_proportions, stat_field
 from oracles import annulus_cells
 
-# Peak traced bytes per cell allowed for the binomial statistic on the
-# default ladder. The rank selection peaks near 170 B/cell at 300x300; the
-# NaN-padded (120, rows, cols) stack it replaced peaked near 4,300 B/cell.
+# Peak traced bytes per cell allowed for the statistic on any ladder. Run
+# scale by scale it peaks near 150 B/cell at 300x300 whatever the ladder;
+# the stacked version it replaced needed about 580 B/cell on five-scale and
+# grew by about 100 B/cell with every added scale. The NaN-padded
+# (120, rows, cols) median stack before that peaked near 4,300 B/cell.
 STAT_BYTES_PER_CELL = 400
+
+
+def median_fields(cellvals, ladder):
+    """The generator's per-scale medians, stacked for comparison."""
+    return np.stack(list(_annulus_medians(cellvals, ladder)))
 
 
 def enumerated_medians(cellvals, ladder):
@@ -33,10 +41,11 @@ def enumerated_medians(cellvals, ladder):
 
 
 @st.composite
-def ladders(draw):
+def ladders(draw, max_radius=6):
     """Nested ladders of up to four windows: square, circle or mixed."""
     count = draw(st.integers(1, 4))
-    radii = [0] + sorted(draw(st.sets(st.integers(1, 6), min_size=count - 1, max_size=count - 1)))
+    radii = [0] + sorted(draw(st.sets(st.integers(1, max_radius), min_size=count - 1,
+                                      max_size=count - 1)))
     shapes = draw(st.lists(st.sampled_from(("square", "circle")), min_size=count, max_size=count))
     try:
         return ScaleLadder(tuple(WindowSpec(s, r) for s, r in zip(shapes, radii)))
@@ -67,9 +76,9 @@ def test_matches_enumerated_median(rows, cols, ladder, per_cell_trials, seed):
     want = enumerated_medians(cellvals, ladder)
     if want is None:
         with pytest.raises(InternalInvariantError):
-            _annulus_median_fields(cellvals, ladder)
+            median_fields(cellvals, ladder)
     else:
-        np.testing.assert_array_equal(_annulus_median_fields(cellvals, ladder), want)
+        np.testing.assert_array_equal(median_fields(cellvals, ladder), want)
 
 
 def test_even_and_clipped_annuli():
@@ -81,7 +90,7 @@ def test_even_and_clipped_annuli():
     assert sizes == {8, 3, 5}
     assert len(annulus_cells(ladder, (0, 0), 2, (7, 7))) == 12
     np.testing.assert_array_equal(
-        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+        median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
     )
 
 
@@ -94,7 +103,7 @@ def test_level_index_dtype_boundary(level_count):
     assert np.unique(cellvals).size == level_count
     ladder = ScaleLadder.of("square", [0, 1, 3])
     np.testing.assert_array_equal(
-        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+        median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
     )
 
 
@@ -105,13 +114,13 @@ def test_annulus_wider_than_a_byte():
     ladder = ScaleLadder.of("square", [0, 8])
     assert len(ladder.annulus_offsets(1)) == 288
     np.testing.assert_array_equal(
-        _annulus_median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+        median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
     )
 
 
 def test_single_level_grid():
     cellvals = np.full((6, 5), 0.25)
-    fields = _annulus_median_fields(cellvals, ScaleLadder.of("circle", [0, 2, 3]))
+    fields = median_fields(cellvals, ScaleLadder.of("circle", [0, 2, 3]))
     assert np.all(fields == 0.25)
 
 
@@ -119,18 +128,48 @@ def test_annulus_clipping_to_empty_raises():
     # at the center of a 3x3 grid the square:1..square:3 ring lies off the grid
     cellvals = binomial_cellvals(3, 3, False, 1)
     with pytest.raises(InternalInvariantError):
-        _annulus_median_fields(cellvals, ScaleLadder.of("square", [0, 1, 3]))
+        median_fields(cellvals, ScaleLadder.of("square", [0, 1, 3]))
+
+
+def test_medians_are_yielded_one_scale_at_a_time():
+    # the generator has not looked past the first scale when the caller
+    # takes it, so an annulus that clips to empty further up raises late
+    cellvals = binomial_cellvals(3, 3, False, 1)
+    medians = _annulus_medians(cellvals, ScaleLadder.of("square", [0, 1, 3]))
+    np.testing.assert_array_equal(next(medians), cellvals)
+    assert next(medians).shape == (3, 3)
+    with pytest.raises(InternalInvariantError):
+        next(medians)
+
+
+def traced_peak(grid, model, ladder):
+    tracemalloc.start()
+    try:
+        stat_field(grid, model, ladder)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_case(family, dims=(300, 300)):
+    rng = np.random.default_rng(3)
+    if family == "binomial":
+        n = np.full(dims, 100)
+        return Grid(rng.binomial(n, 0.2)), ModelSpec("binomial", trials=Grid(n))
+    if family == "poisson":
+        return Grid(rng.poisson(4.0, size=dims)), ModelSpec("poisson")
+    return Grid(rng.normal(size=dims)), ModelSpec("normal")
 
 
 def test_stat_field_memory_is_linear_in_cells():
-    rng = np.random.default_rng(3)
-    n = np.full((300, 300), 100)
-    grid = Grid(rng.binomial(n, 0.2))
-    model = ModelSpec("binomial", trials=Grid(n))
-    tracemalloc.start()
-    try:
-        stat_field(grid, model, ScaleLadder.default_two_scale())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < STAT_BYTES_PER_CELL * grid.values.size
+    grid, model = memory_case("binomial")
+    assert traced_peak(grid, model, ScaleLadder.default_two_scale()) < \
+        STAT_BYTES_PER_CELL * grid.values.size
+
+
+@pytest.mark.parametrize("ladder", [ScaleLadder.five_scale(), ScaleLadder.of("square", range(9))],
+                         ids=["five-scale", "square-0-8"])
+@pytest.mark.parametrize("family", ["binomial", "poisson", "normal"])
+def test_stat_field_memory_does_not_grow_with_scales(family, ladder):
+    grid, model = memory_case(family)
+    assert traced_peak(grid, model, ladder) < STAT_BYTES_PER_CELL * grid.values.size

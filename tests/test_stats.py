@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
-from mcd.grid import Grid, ScaleLadder, WindowSpec, aggregate_scales
+from mcd.grid import Grid, ScaleLadder, WindowSpec, build_sat, window_sum_field
 from mcd.stats import (
     FAMILIES,
     ModelSpec,
@@ -18,6 +18,7 @@ from mcd.stats import (
     stat_field,
 )
 from oracles import oracle_estimates, oracle_stat_grid
+from test_median import ladders
 
 TWO_SCALE = ScaleLadder.default_two_scale()
 
@@ -190,7 +191,8 @@ class TestEstimateScales:
         ladder = ScaleLadder.of("circle", [0, 1, 3])
         model = ModelSpec("poisson")
         null = estimate_null(Grid(y), model)
-        x, m = aggregate_scales(Grid(y), ladder)
+        sat = build_sat(Grid(y))
+        x, m = map(np.stack, zip(*(window_sum_field(sat, w) for w in ladder.windows)))
         dx, dm = np.diff(x, axis=0, prepend=0), np.diff(m, axis=0, prepend=0)
         for pixel in [(0, 0), (5, 5), (9, 2)]:
             want_null, want = oracle_estimates(y, "poisson", ladder, pixel)
@@ -399,6 +401,32 @@ class TestZeroOnClip:
             zeros = field.values == 0.0
             assert zeros.any()
             assert not np.signbit(field.values[zeros]).any(), field.model.family
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    rows=st.integers(6, 9),  # at least twice the largest radius: no annulus clips to empty
+    cols=st.integers(6, 9),
+    ladder=ladders(max_radius=3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_stat_field_matches_oracle_property(family, rows, cols, ladder, seed):
+    rng = np.random.default_rng(seed)
+    trials = sigma = None
+    if family == "binomial":
+        trials = rng.integers(1, 40, size=(rows, cols))
+        y = rng.binomial(trials, rng.uniform(0.05, 0.95, size=(rows, cols)))
+    elif family == "poisson":
+        y = rng.poisson(rng.uniform(1.0, 8.0, size=(rows, cols)))
+        assume(np.median(y) > 0)
+    else:
+        sigma = float(rng.uniform(0.5, 2.0))
+        y = rng.normal(rng.uniform(-1.0, 1.0, size=(rows, cols)), sigma)
+    model = ModelSpec(family, trials=None if trials is None else Grid(trials), sigma=sigma)
+    field = stat_field(Grid(y), model, ladder)
+    want = oracle_stat_grid(y, family, ladder, trials=trials, sigma=sigma)
+    np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
 
 
 def test_adjusted_proportions_strictly_inside_unit_interval():

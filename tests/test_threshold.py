@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcd.errors import InvalidInputError, NoSignalError
-from mcd.grid import Grid, ScaleLadder
+from mcd.grid import CROSS_OFFSETS, Grid, ScaleLadder
 from mcd.stats import ModelSpec, StatField
 from mcd.threshold import (
     DetectionResult,
@@ -58,6 +58,22 @@ class TestNeighborhoodVariability:
         v = neighborhood_variability(Grid(y), model)
         padj = (y + 1.0) / (n + 2.0)
         np.testing.assert_allclose(v.values, oracle_variability(y, padj), rtol=1e-12, atol=1e-12)
+
+    @given(rows=st.integers(2, 12), cols=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_match_nanvar_of_the_cross(self, rows, cols, seed):
+        # the field is np.nanvar(ddof=1) over a NaN-padded stack of the 5-point
+        # cross, bit for bit; signed zeros and repeats are in the values
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(rows, cols))
+        y[rng.random((rows, cols)) < 0.2] = -0.0
+        y[rng.random((rows, cols)) < 0.2] = 0.5
+        padded = np.pad(y, 1, constant_values=np.nan)
+        stack = np.stack([padded[1 + di:1 + di + rows, 1 + dj:1 + dj + cols]
+                          for di, dj in CROSS_OFFSETS])
+        want = np.nanvar(stack, axis=0, ddof=1)
+        got = neighborhood_variability(Grid(y), ModelSpec("normal")).values
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_small_grid_rejected(self):
         with pytest.raises(InvalidInputError):
