@@ -98,7 +98,9 @@ def pixel_pvalues(
     P(X >= y | lam0) = gammainc(y, lam0), both 1 at y = 0; Normal
     1 - Phi((y - mu0)/sigma) = ndtr(-(y - mu0)/sigma). These equal
     `scipy.stats` `binom.sf(y - 1, ...)`, `poisson.sf(y - 1, ...)` and
-    `norm.sf` bit for bit, without importing `scipy.stats`. `null_param`
+    `norm.sf` bit for bit, without importing `scipy.stats`; each exact
+    count tail is evaluated once per distinct count (Poisson) or (count,
+    trials) pair (Binomial) and gathered back to the cells. `null_param`
     defaults to the same null estimate the statistic uses: the grid-wide
     median cell value for every family (of the adjusted proportions for
     Binomial). `approx=True` switches the two count families to a
@@ -121,19 +123,48 @@ def pixel_pvalues(
             sd = np.sqrt(n * null_param * (1.0 - null_param))
             p = ndtr(-((y - 0.5 - mu) / sd))
         else:
-            p = np.where(y >= 1, betainc(np.maximum(y, 1), n - y + 1, null_param), 1.0)
+            p = _per_distinct(lambda yk, nk: np.where(
+                yk >= 1, betainc(np.maximum(yk, 1), nk - yk + 1, null_param), 1.0), y, n)
     elif model.family == "poisson":
         if not null_param > 0.0:
             raise ConfigurationError(f"poisson null rate must be positive, got {null_param}")
         if approx:
             p = ndtr(-((y - 0.5 - null_param) / np.sqrt(null_param)))
         else:
-            p = np.where(y >= 1, gammainc(np.maximum(y, 1), null_param), 1.0)
+            p = _per_distinct(lambda yk, _: np.where(
+                yk >= 1, gammainc(np.maximum(yk, 1), null_param), 1.0), y)
     else:
         if not np.isfinite(null_param):
             raise ConfigurationError(f"normal null mean must be finite, got {null_param}")
         p = ndtr(-((y - null_param) / model.noise_sigma(grid)))
     return PValueField(values=np.clip(p, 0.0, 1.0))
+
+
+def _per_distinct(tail, y, n=None):
+    """`tail(y, n)` for every cell, evaluated once per distinct input and gathered back.
+
+    Each cell's input is a slot in a table with one slot per (y, n) pair
+    in the grid's count and trials ranges (per count without trials).
+    When that table would hold more slots than the grid has cells, every
+    cell is evaluated on its own, so no table or key outgrows the grid.
+    """
+    y0, n0 = int(y.min()), 0 if n is None else int(n.min())
+    n_span = 1 if n is None else int(n.max()) - n0 + 1
+    slots = (int(y.max()) - y0 + 1) * n_span
+    if slots > y.size:
+        return tail(y, n)
+    slot = y - y0
+    if n is not None:
+        slot *= n_span
+        slot += n
+        slot -= n0
+    present = np.zeros(slots, dtype=bool)
+    present[slot] = True
+    distinct = np.flatnonzero(present)
+    yk, nk = np.divmod(distinct, n_span)
+    table = np.empty(slots)
+    table[distinct] = tail(yk + y0, nk + n0)
+    return table[slot]
 
 
 def storey_fdr(pvals: PValueField, alpha: float, lam: float = 0.5) -> FdrResult:

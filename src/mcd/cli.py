@@ -150,6 +150,7 @@ def _cmd_detect(args) -> int:
     grid, trials_uniform = read_grid_csv(args.input)
     model = _build_model(args, grid, trials_uniform)
     ladder = parse_ladder(args.ladder)
+    ladder.check_fits(grid.shape)
     floor = args.min_belt_count
     if floor is None:
         floor = auto_min_belt_count(grid.rows * grid.cols)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 
 
 def _as_grid_values(values) -> np.ndarray:
@@ -156,9 +156,30 @@ class ScaleLadder:
     def five_scale(cls) -> ScaleLadder:
         return cls.of("square", [0, 1, 2, 3, 4, 5])
 
+    def __str__(self) -> str:
+        """The ladder in the ``kind:radius,...`` form that `config.parse_ladder` reads."""
+        return ",".join(f"{w.shape}:{w.radius}" for w in self.windows)
+
     @property
     def scale_count(self) -> int:
         return len(self.windows)
+
+    def check_fits(self, shape: tuple[int, int]) -> None:
+        """Refuse a grid on which some annulus clips to empty around some pixel.
+
+        Annuli are symmetric in each coordinate, so the central pixel, whose
+        reach is the shortest, loses one first: annulus r is empty somewhere
+        exactly when none of its offsets (a, b) has |a| <= ceil((rows-1)/2)
+        and |b| <= ceil((cols-1)/2). No pass over the grid is needed.
+        """
+        rows, cols = shape
+        for r in range(1, self.scale_count):
+            if not any(abs(a) <= rows // 2 and abs(b) <= cols // 2
+                       for a, b in self.annulus_offsets(r)):
+                raise ConfigurationError(
+                    f"ladder {self} is too wide for a {rows}x{cols} grid: the annulus of "
+                    f"{self.windows[r].shape}:{self.windows[r].radius} holds no cell "
+                    f"around the central pixel")
 
     def annulus_offsets(self, r: int) -> list[tuple[int, int]]:
         """Offsets in window r but not window r-1 (0-based; r=0 is the innermost)."""

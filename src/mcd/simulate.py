@@ -76,6 +76,10 @@ class SimConfig:
                 f"scan_reps must be >= 19 for usable p-values, got {self.scan_reps}")
         if not 0.0 < self.cluster_alpha < 1.0:
             raise ConfigurationError(f"cluster_alpha must be in (0,1), got {self.cluster_alpha}")
+        if not 0.0 < self.fdr_alpha < 1.0:
+            raise ConfigurationError(f"fdr_alpha must be in (0,1), got {self.fdr_alpha}")
+        if not 0.0 < self.fdr_lambda < 1.0:
+            raise ConfigurationError(f"fdr_lambda must be in (0,1), got {self.fdr_lambda}")
         shape = str(self.shape).lower()
         if shape not in SHAPE_KINDS:
             raise ConfigurationError(f"unknown shape {shape!r}; expected one of {SHAPE_KINDS}")
@@ -87,6 +91,10 @@ class SimConfig:
                 raise ConfigurationError(f"disc_radius applies to shape 'disc' only, not {shape!r}")
             if not self.disc_radius > 0:
                 raise ConfigurationError(f"disc_radius must be positive, got {self.disc_radius}")
+        rows, cols = self.dims
+        if rows < 1 or cols < 1:
+            raise ConfigurationError(f"dims must be positive, got {rows}x{cols}")
+        self.ladder.check_fits(self.dims)
 
     def truth_mask(self) -> np.ndarray:
         return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)

@@ -11,13 +11,32 @@ The null parameter is the grid-wide median; alternative estimates per
 scale come from the annulus D_r \\ D_{r-1} of the window ladder
 (median of adjusted proportions for Binomial, pooled mean otherwise),
 clipped below by the null estimate so the alternative can only be an
-elevation. The Binomial annulus median is exact (it agrees with
-np.median over the enumerated annulus) and is found by rank selection on
-the distinct cell values, in O(rows * cols) memory whatever the annulus
-size; level indices, counts and ranks are held in the narrowest unsigned
-dtypes that fit (one byte per pixel for up to 255 levels or annulus
-cells). Scale weights are increment cardinalities, so a radius-0
+elevation. Scale weights are increment cardinalities, so a radius-0
 first scale contributes with weight 1.
+
+The Binomial annulus median is exact: it agrees with np.median over the
+enumerated annulus, and memory stays a few bytes per pixel whatever the
+annulus size. Each cell is replaced by its level, the index of its value
+among the distinct cell values, in the narrowest unsigned dtype that
+also holds the sentinel level `levels.size`. The level grid is padded
+with the sentinel by the ladder's widest radius, in rows above and below
+and in columns left of every row (flattened, these also follow the row
+above, so they pad its right end too), and flattened. Each annulus
+offset (di, dj) is then one contiguous slice, shifted by di * width + dj,
+and a neighbour off the grid reads the sentinel. Pixels in the pad
+columns compute values that are dropped.
+
+The median of c cells is the mean of the levels of ranks (c-1)//2 and
+c//2. A bisection over the levels finds the first: each probe compares
+one slice per offset with the pixel's probe level and adds up the
+results. Only probes above every real level, which count all c cells
+anyway, can count the sentinel, so it never decides a step. The
+bisection also keeps the count at the top of its range, which ends as
+the number of cells at or below the level found. Rank c//2 is on that
+same level when the count exceeds c//2; otherwise it is on the next
+level present in the annulus, found in one pass as the minimum over the
+annulus of the unsigned gap idx - q - 1, in which cells at or below q
+wrap past every real gap and the sentinel's gap is the largest.
 
 T is built in one pass over the ladder: each scale's window sums come
 from summed-area tables, and only the previous scale's sums and the
@@ -37,7 +56,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .grid import Grid, ScaleLadder, build_sat, shifted_slices, validate_trials, window_sum_field
+from .grid import Grid, ScaleLadder, build_sat, validate_trials, window_sum_field
 
 FAMILIES = ("binomial", "poisson", "normal")
 
@@ -173,26 +192,58 @@ def estimate_null(grid: Grid, model: ModelSpec) -> float:
     return null
 
 
-def _rank_level(idx: np.ndarray, pairs, rank: np.ndarray, top: int) -> np.ndarray:
-    """Per pixel, the smallest level index q with more than `rank` annulus cells idx <= q.
+def _annulus_median(flat, levels, shifts, shape, width):
+    """Exact median of `levels[flat]` over the annulus `shifts`, around every pixel.
 
-    Bisection on [0, top]: each probe counts the annulus cells at or below
-    the probe with one compare per offset, so memory stays a few fields.
-    Levels keep the dtype of `idx` and counts that of `rank`, so the caller
-    picks dtypes that hold `top + 1` and the largest annulus size.
+    `flat` is the padded, flattened grid of level indices and each shift
+    is one annulus offset; see the module docstring. Returns a (rows,
+    cols) field; every per-pixel temporary is freed on return.
     """
-    lo = np.zeros(idx.shape, dtype=idx.dtype)
-    hi = np.full(idx.shape, top, dtype=idx.dtype)
-    count = np.empty(idx.shape, dtype=rank.dtype)
-    for _ in range(top.bit_length()):  # ceil(log2(top + 1)) halvings
-        mid = lo + ((hi - lo) >> 1)
+    rows, cols = shape
+    n = rows * width
+    median = np.empty(shape)  # allocated before the temporaries, which then free as one block
+    real = (flat < levels.size).view(np.uint8)
+    size = np.zeros(n, dtype=np.min_scalar_type(len(shifts)))
+    for s in shifts:
+        size += real[s:s + n]
+    if np.any(size.reshape(rows, width)[:, :cols] == 0):
+        raise InternalInvariantError("an annulus clips to empty somewhere on the grid")
+    # bisection for q, the level of rank (size-1)//2: the smallest level
+    # with more than that many annulus cells at or below it. q lies in
+    # [lo, lo + 2 * step - 1]; count_hi is the count at the top of that range
+    rank = (size - 1) // 2
+    lo = np.zeros(n, dtype=flat.dtype)
+    count_hi = size.copy()
+    count = np.empty_like(size)
+    le = np.empty(n, dtype=bool)
+    for bit in reversed(range((levels.size - 1).bit_length())):
+        step = lo.dtype.type(1 << bit)
+        probe = lo + (step - 1)
         count.fill(0)
-        for dst, src in pairs:
-            count[dst] += idx[src] <= mid[dst]
-        above = count > rank
-        np.copyto(hi, mid, where=above)
-        np.copyto(lo, mid + 1, where=~above)
-    return lo
+        for s in shifts:
+            np.less_equal(flat[s:s + n], probe, out=le)
+            count += le.view(np.uint8)
+        np.greater(count, rank, out=le)  # q is at or below the probe
+        count_hi += (count - count_hi) * le
+        lo += (~le).view(np.uint8) * step
+    # rank size//2 is on the next level in the annulus, q + 1 + min(idx - q - 1)
+    # in unsigned arithmetic, where at most size//2 cells lie at or below q
+    q_hi = lo
+    upper = count_hi <= size // 2
+    if upper.any():
+        nxt = lo + 1
+        gap = np.full(n, np.iinfo(flat.dtype).max, dtype=flat.dtype)
+        diff = np.empty_like(gap)
+        for s in shifts:
+            np.subtract(flat[s:s + n], nxt, out=diff)
+            np.minimum(gap, diff, out=gap)
+        q_hi = lo + (gap + 1) * upper
+    cells = np.s_[:, :cols]
+    # every index is in range; "clip" lets take write into `median` unbuffered
+    levels.take(lo.reshape(rows, width)[cells], out=median, mode="clip")
+    median += levels[q_hi.reshape(rows, width)[cells]]
+    median /= 2
+    return median
 
 
 def _annulus_medians(cellvals: np.ndarray, ladder: ScaleLadder):
@@ -203,20 +254,20 @@ def _annulus_medians(cellvals: np.ndarray, ladder: ScaleLadder):
     cell values, so no stack of annulus values, or of scales, is built.
     """
     levels, idx = np.unique(cellvals, return_inverse=True)
-    # the narrowest unsigned dtypes that hold every level index and count:
-    # the bisection is memory-bound, so fewer bytes per pixel run faster
-    idx = idx.reshape(cellvals.shape).astype(np.min_scalar_type(levels.size))
+    rows, cols = cellvals.shape
+    pad = ladder.windows[-1].radius
+    width = cols + pad  # a row's pad columns also pad the end of the row above
+    start = pad * width + pad  # flat position of cell (0, 0)
+    # the sentinel levels.size marks off-grid cells; the narrowest unsigned
+    # dtype that holds it also holds every level index: the selection is
+    # memory-bound, so fewer bytes per pixel run faster
+    flat = np.full(rows * width + 2 * start, levels.size, dtype=np.min_scalar_type(levels.size))
+    flat[start:start + rows * width].reshape(rows, width)[:, :cols] = idx.reshape(rows, cols)
+    del idx
     yield cellvals  # the radius-0 annulus is the pixel itself
     for r in range(1, ladder.scale_count):
-        pairs = shifted_slices(cellvals.shape, ladder.annulus_offsets(r))
-        size = np.zeros(cellvals.shape, dtype=np.min_scalar_type(len(pairs)))
-        for dst, _ in pairs:
-            size[dst] += 1
-        if np.any(size == 0):
-            raise InternalInvariantError(f"annulus {r} clips to empty somewhere on the grid")
-        q_lo = _rank_level(idx, pairs, (size - 1) // 2, levels.size - 1)
-        q_hi = _rank_level(idx, pairs, size // 2, levels.size - 1)
-        yield (levels[q_lo] + levels[q_hi]) / 2
+        shifts = [start + di * width + dj for di, dj in ladder.annulus_offsets(r)]
+        yield _annulus_median(flat, levels, shifts, (rows, cols), width)
 
 
 def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:

@@ -117,6 +117,29 @@ class TestPixelPvalues:
         got = pixel_pvalues(Grid(y), ModelSpec("normal", sigma=sigma), mu).values
         np.testing.assert_array_equal(got, sps.norm.sf((y - mu) / sigma))
 
+    @given(data=st.data(), family=st.sampled_from(("binomial", "poisson")))
+    @settings(max_examples=60, deadline=None)
+    def test_count_tails_once_per_distinct_input_match_per_cell(self, data, family):
+        # cells repeat a few (count, trials) pairs, so the tail is shared; trial
+        # counts of 2**40 overflow the pair key and are evaluated cell by cell
+        from scipy.special import betainc, gammainc
+
+        size = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        pool = data.draw(st.lists(st.sampled_from((1, 7, 400, 2**40)), min_size=1, max_size=3))
+        n = np.array([data.draw(st.sampled_from(pool)) for _ in range(size[0] * size[1])])
+        y = np.array([data.draw(st.sampled_from((0, 1, 2, int(k)))) for k in n])
+        y = np.minimum(y, n).reshape(size)
+        n = n.reshape(size)
+        null = data.draw(st.floats(1e-6, 1 - 1e-6))
+        if family == "binomial":
+            got = pixel_pvalues(Grid(y), ModelSpec("binomial", trials=Grid(n)), null).values
+            want = np.where(y >= 1, betainc(np.maximum(y, 1), n - y + 1, null), 1.0)
+        else:
+            y = y % 500  # Poisson counts need no trials; keep gammainc quick
+            got = pixel_pvalues(Grid(y), ModelSpec("poisson"), 100 * null).values
+            want = np.where(y >= 1, gammainc(np.maximum(y, 1), 100 * null), 1.0)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_invalid_null_rejected(self):
         y = Grid(np.ones((3, 3), dtype=int))
         with pytest.raises(ConfigurationError):

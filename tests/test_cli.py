@@ -40,6 +40,11 @@ def write_constant(tmp_path, value=20, trials=100, dims=(30, 30)):
     return write_with_trials_header(tmp_path / "const.csv", np.full(dims, value), trials)
 
 
+# (dims, ladder) pairs where some annulus clips to empty around the central pixel
+TOO_WIDE = [((13, 9), ",".join(f"square:{r}" for r in range(9)))] + [
+    (dims, "five-scale") for dims in ((1, 7), (7, 1), (2, 2), (3, 3), (5, 4))]
+
+
 class TestDetect:
     def test_fixture_recovers_disc(self, tmp_path):
         out = tmp_path / "out"
@@ -117,6 +122,17 @@ class TestDetect:
         for path, out in ((FIXTURE, tmp_path / "a"), (marked, tmp_path / "b")):
             assert run("detect", path, "--family", "binomial", "--out-dir", out) == 0
         assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+
+    @pytest.mark.parametrize("dims, ladder", TOO_WIDE)
+    def test_ladder_too_wide_for_the_grid_exits_2(self, tmp_path, capsys, dims, ladder):
+        path = tmp_path / "small.csv"
+        write_grid_csv(path, Grid(np.arange(dims[0] * dims[1]).reshape(dims) % 5 + 1))
+        out = tmp_path / "out"
+        assert run("detect", path, "--family", "poisson", "--ladder", ladder, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "ladder square:0,square:1,square:2,square:3,square:4,square:5" in err
+        assert f"is too wide for a {dims[0]}x{dims[1]} grid" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_threshold_count_below_3_exits_2(self, tmp_path, capsys):
         assert run("detect", FIXTURE, "--family", "binomial",
@@ -258,6 +274,10 @@ class TestSimulate:
         ("shape=custom", "shape"),
         ("disc_radius=0", "disc_radius"),
         ("shape=lshape", "disc_radius"),  # disc_radius = 6 stays in the manifest
+        ("fdr_alpha=1.5", "fdr_alpha"),
+        ("fdr_alpha=0", "fdr_alpha"),
+        ("fdr_lambda=1", "fdr_lambda"),
+        ("fdr_lambda=-0.5", "fdr_lambda"),
     ])
     def test_bad_knob_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, setting, key):
         from mcd import simulate
@@ -272,6 +292,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("dims, ladder", TOO_WIDE)
+    def test_ladder_too_wide_for_dims_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                dims, ladder):
+        from mcd import simulate
+
+        def no_work(*args):
+            raise AssertionError("a replicate was simulated before the manifest was checked")
+
+        monkeypatch.setattr(simulate, "simulate_grid", no_work)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", self.config(tmp_path, ladder=ladder),
+                   "--set", f"dims={dims[0]}x{dims[1]}", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"is too wide for a {dims[0]}x{dims[1]} grid" in err and "ladder square:0," in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_binary_config_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "bin.cfg"

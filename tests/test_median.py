@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcd.errors import InternalInvariantError, InvalidInputError
+from mcd.errors import ConfigurationError, InternalInvariantError, InvalidInputError
 from mcd.grid import Grid, ScaleLadder, WindowSpec
 from mcd.stats import ModelSpec, _annulus_medians, adjusted_proportions, stat_field
 from oracles import annulus_cells
@@ -140,6 +140,61 @@ def test_medians_are_yielded_one_scale_at_a_time():
     assert next(medians).shape == (3, 3)
     with pytest.raises(InternalInvariantError):
         next(medians)
+
+
+@pytest.mark.parametrize("ring, want", [
+    # ranks 3 and 4 of the 8-cell ring are 0.1 and 0.3; 0.2 lies elsewhere
+    # on the grid, so rank 4 is the next level in the ring, not the next level
+    ((0.1, 0.3, 0.1, 0.3, 0.1, 0.3, 0.1, 0.3), (0.1 + 0.3) / 2),
+    # ranks 3 and 4 both lie on 0.3, with one more level above it in the ring
+    ((0.1, 0.5, 0.1, 0.3, 0.5, 0.3, 0.1, 0.5), 0.3),
+], ids=["next-level", "same-level"])
+def test_even_annulus_upper_middle(ring, want):
+    ladder = ScaleLadder.of("square", [0, 1])
+    cellvals = np.full((5, 5), 0.2)
+    for (di, dj), value in zip(ladder.annulus_offsets(1), ring):
+        cellvals[2 + di, 2 + dj] = value
+    fields = median_fields(cellvals, ladder)
+    assert fields[1, 2, 2] == want
+    np.testing.assert_array_equal(fields, enumerated_medians(cellvals, ladder))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_many_levels_on_the_cross(seed):
+    # the circle:1 ring holds 4 cells (2 or 3 at edges), so both middle ranks
+    # are selected often; more than 256 levels need two-byte indices
+    cellvals = binomial_cellvals(30, 30, True, seed)
+    assert np.unique(cellvals).size > 256
+    ladder = ScaleLadder((WindowSpec("square", 0), WindowSpec("circle", 1)))
+    np.testing.assert_array_equal(
+        median_fields(cellvals, ladder), enumerated_medians(cellvals, ladder)
+    )
+
+
+@pytest.mark.parametrize("shape", [(1, 15), (15, 1), (2, 11), (11, 2)])
+@pytest.mark.parametrize("radii", [(0, 2, 4), (0, 1, 3, 5)])
+def test_grids_narrower_than_the_widest_radius(shape, radii):
+    # the padding is wider than the grid along one axis, and every pixel's
+    # annuli clip on that axis
+    cellvals = binomial_cellvals(*shape, True, sum(shape) + len(radii))
+    ladder = ScaleLadder.of("circle", radii)
+    want = enumerated_medians(cellvals, ladder)
+    assert want is not None
+    np.testing.assert_array_equal(median_fields(cellvals, ladder), want)
+
+
+@given(rows=st.integers(1, 14), cols=st.integers(1, 14), ladder=ladders())
+@settings(max_examples=80, deadline=None)
+def test_check_fits_refuses_exactly_the_grids_with_an_empty_annulus(rows, cols, ladder):
+    empty = any(
+        not annulus_cells(ladder, (i, j), r, (rows, cols))
+        for r in range(ladder.scale_count) for i in range(rows) for j in range(cols)
+    )
+    if empty:
+        with pytest.raises(ConfigurationError, match=f"too wide for a {rows}x{cols} grid"):
+            ladder.check_fits((rows, cols))
+    else:
+        ladder.check_fits((rows, cols))
 
 
 def traced_peak(grid, model, ladder):

@@ -36,6 +36,12 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             small_config(methods=("mcd", "bogus"))
 
+    @pytest.mark.parametrize("key", ["fdr_alpha", "fdr_lambda"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, float("nan")])
+    def test_fdr_knobs_validated(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            small_config(methods=("mcd",), **{key: value})
+
     def test_binomial_rates_validated(self):
         with pytest.raises(ConfigurationError):
             small_config(null_param=0.0, alt_param=0.3)
@@ -136,8 +142,10 @@ class TestRunExperiment:
     def test_replicate_failures_annotated(self):
         # normal family with alt barely above null on a tiny grid can
         # produce a constant statistic only in contrived cases; instead
-        # force an error through an invalid fdr_alpha reaching storey_fdr
-        cfg = small_config(methods=("fdr",), fdr_alpha=2.0, replicates=2)
+        # force an error through an invalid fdr_alpha reaching storey_fdr,
+        # set past the check that SimConfig makes on construction
+        cfg = small_config(methods=("fdr",), replicates=2)
+        object.__setattr__(cfg, "fdr_alpha", 2.0)
         with pytest.raises(ConfigurationError, match="replicate 0"):
             run_experiment(cfg)
 
