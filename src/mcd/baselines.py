@@ -212,25 +212,34 @@ def _zone_llrs(model, y_in, e_in, y_tot, e_tot):
     return np.where(r_in > r_out, llr / (model.sigma or 1.0) ** 2, 0.0)
 
 
-def _max_llr(model, values, exposures_by_radius, e_tot, allowed):
-    """Maximum zone LLR of one data field across all centers and radii."""
+def _zone_llr_fields(model, values, zones, e_tot):
+    """One zone-LLR field per radius of one data field, 0 where a zone exceeds half the exposure.
+
+    `zones` holds (window, e_in, allowed) per radius. Count grids (and
+    their replicates) stay integer, so their zone sums are exact int64,
+    while Normal grids sum in extended precision.
+    """
     sat = build_sat(Grid(values))
     y_tot = float(values.sum())
-    best = 0.0
-    for window, e_in in exposures_by_radius:
+    for window, e_in, allowed in zones:
         y_in, _ = window_sum_field(sat, window)
-        llr = _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot)
-        llr = np.where(allowed[window.radius], llr, 0.0)
-        m = float(llr.max())
-        if m > best:
-            best = m
-    return best
+        yield np.where(allowed, _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot), 0.0)
+
+
+def check_radii(radii, name: str = "radii") -> list[int]:
+    """Scan radii as a sorted list of distinct integers, refusing an empty list or one below 1."""
+    radii = sorted({int(r) for r in radii})
+    if not radii:
+        raise ConfigurationError(f"{name} must be nonempty")
+    if radii[0] < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {radii[0]}")
+    return radii
 
 
 def circular_scan(
     grid: Grid,
     model: ModelSpec,
-    radii=None,
+    radii=tuple(range(1, 21)),
     mc_reps: int = 99,
     cluster_alpha: float = 0.05,
     seed: int = 0,
@@ -248,13 +257,7 @@ def circular_scan(
     """
     if mc_reps < 19:
         raise ConfigurationError(f"mc_reps must be >= 19 for usable p-values, got {mc_reps}")
-    if radii is None:
-        radii = range(1, 21)
-    radii = sorted({int(r) for r in radii})
-    if not radii:
-        raise ConfigurationError("radii must be nonempty")
-    if radii[0] < 1:
-        raise ConfigurationError(f"radii must be >= 1, got {radii[0]}")
+    radii = check_radii(radii)
     if not 0.0 < cluster_alpha < 1.0:
         raise ConfigurationError(f"cluster_alpha must be in (0,1), got {cluster_alpha}")
     model.check_counts(grid)
@@ -274,41 +277,35 @@ def circular_scan(
     # per-radius zone exposures and the half-exposure eligibility cap;
     # these depend only on the trials map, not the replicate data
     exposure_sat = build_sat(exposure)
-    exposures_by_radius = []
-    allowed = {}
+    zones = []
     for r in radii:
         window = WindowSpec("circle", r)
-        e_in, _ = window_sum_field(exposure_sat, window)
-        e_in = e_in.astype(np.float64)
-        exposures_by_radius.append((window, e_in))
-        allowed[r] = e_in <= 0.5 * e_tot
-    if not any(a.any() for a in allowed.values()):
+        e_in = window_sum_field(exposure_sat, window)[0].astype(np.float64)
+        zones.append((window, e_in, e_in <= 0.5 * e_tot))
+    if not any(allowed.any() for _, _, allowed in zones):
         raise ConfigurationError("every zone exceeds half the total exposure; reduce radii")
 
-    # observed zone LLRs, kept per radius for the greedy cluster pass; count
-    # grids (and their replicates) stay integer, so their zone sums are
-    # exact int64, while Normal grids sum in extended precision
-    obs_sat = build_sat(grid)
-    obs_llrs = np.zeros((len(radii), rows, cols))
-    for k, (window, e_in) in enumerate(exposures_by_radius):
-        y_in, _ = window_sum_field(obs_sat, window)
-        llr = _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot)
-        obs_llrs[k] = np.where(allowed[window.radius], llr, 0.0)
+    # observed zone LLRs, kept per radius for the greedy cluster pass
+    obs_llrs = np.empty((len(zones), rows, cols))
+    for k, llr in enumerate(_zone_llr_fields(model, grid.values, zones, e_tot)):
+        obs_llrs[k] = llr
 
-    # Monte Carlo distribution of the max LLR under the fitted null;
-    # each replicate gets its own deterministic stream
+    # Monte Carlo distribution of the max LLR under the fitted null; each
+    # replicate gets its own deterministic stream. The running maximum
+    # starts at 0 and skips a NaN field maximum
     rep_max = np.empty(mc_reps)
     for rep in range(mc_reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
         sim = model.sample(rng, null_mean)
-        rep_max[rep] = _max_llr(model, sim, exposures_by_radius, e_tot, allowed)
+        rep_max[rep] = max(0.0, *(float(llr.max())
+                                  for llr in _zone_llr_fields(model, sim, zones, e_tot)))
 
     def zone_pvalue(llr: float) -> float:
         return float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))
 
     # each radius's circle as a boolean patch centred in its bounding box
     patches = {}
-    for window, _ in exposures_by_radius:
+    for window, _, _ in zones:
         r = window.radius
         di, dj = np.array(window.offsets()).T
         patches[r] = np.zeros((2 * r + 1, 2 * r + 1), dtype=bool)

@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import circular_scan, pixel_pvalues, storey_fdr
 from .config import (
     load_config_file,
+    parse_dims,
     parse_int_list,
     parse_ladder,
     parse_override,
@@ -72,18 +73,17 @@ _auto_or_positive_int.__name__ = "int or 'auto'"  # argparse quotes it in "inval
 
 
 def _resolve_seed(flag_value: int | None, config_value: int | None = None) -> int:
-    """Precedence: explicit flag, config file, MCD_SEED env, 0."""
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
+    """Precedence: explicit flag, config file, MCD_SEED env, 0; refused below 0."""
+    seed = flag_value if flag_value is not None else config_value
     env = os.environ.get("MCD_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigurationError(f"MCD_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return seed or 0
 
 
 def _write_json(path, payload) -> None:
@@ -92,13 +92,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _build_model(args, grid: Grid, trials_uniform: int | None) -> ModelSpec:
-    """Model from flags plus whatever the grid header declared.
+def _load_input(args) -> tuple[Grid, ModelSpec]:
+    """The input grid and its model, from flags plus whatever the grid header declared.
 
     Trials flags reach `ModelSpec` for every family, which refuses them
     unless the family is Binomial; a header trial count is used only by
     Binomial.
     """
+    grid, trials_uniform = read_grid_csv(args.input)
     trials = None
     if args.trials_file:
         trials, _ = read_grid_csv(args.trials_file)
@@ -114,7 +115,7 @@ def _build_model(args, grid: Grid, trials_uniform: int | None) -> ModelSpec:
     model = ModelSpec(args.family, trials=trials, sigma=args.sigma)
     if trials is not None:
         validate_trials(grid, trials)
-    return model
+    return grid, model
 
 
 def _check_out_dir(path: str) -> None:
@@ -147,8 +148,7 @@ def _write_mask(args, stem: str, mask: np.ndarray) -> None:
 # ---------------------------------------------------------------- detect
 
 def _cmd_detect(args) -> int:
-    grid, trials_uniform = read_grid_csv(args.input)
-    model = _build_model(args, grid, trials_uniform)
+    grid, model = _load_input(args)
     ladder = parse_ladder(args.ladder)
     ladder.check_fits(grid.shape)
     floor = args.min_belt_count
@@ -223,8 +223,7 @@ def _cmd_simulate(args) -> int:
 # ------------------------------------------------------------------ scan
 
 def _cmd_scan(args) -> int:
-    grid, trials_uniform = read_grid_csv(args.input)
-    model = _build_model(args, grid, trials_uniform)
+    grid, model = _load_input(args)
     result = circular_scan(
         grid,
         model,
@@ -261,8 +260,7 @@ def _cmd_scan(args) -> int:
 # ------------------------------------------------------------------- fdr
 
 def _cmd_fdr(args) -> int:
-    grid, trials_uniform = read_grid_csv(args.input)
-    model = _build_model(args, grid, trials_uniform)
+    grid, model = _load_input(args)
     pvals = pixel_pvalues(grid, model, approx=args.approx)
     result = storey_fdr(pvals, alpha=args.alpha, lam=args.fdr_lambda)
     write_array_csv(_out(args, "pvalues.csv"), pvals.values)
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a manifest entry (repeatable)")
     p.add_argument("--replicates", type=_positive_int, default=None)
-    p.add_argument("--roc", type=_positive_int, default=None, metavar="POINTS",
+    p.add_argument("--roc", type=_int_at_least(2), default=None, metavar="POINTS",
                    help="also write an ROC curve from replicate 0")
     p.set_defaults(func=_cmd_simulate)
 
@@ -400,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dims_arg(text: str):
-    from .config import parse_dims
-
     try:
         return parse_dims(text)
     except ConfigurationError as exc:
@@ -417,10 +413,7 @@ def main(argv=None) -> int:
     try:
         _check_out_dir(args.out_dir)
         return args.func(args)
-    except GridParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
+    except (GridParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateDataError, InvalidInputError, UndefinedMetricError) as exc:

@@ -137,8 +137,8 @@ def typed_config(raw: dict[str, str]) -> dict[str, object]:
             raise ConfigurationError(f"unknown config key {key!r}")
         try:
             values[key] = conv(text)
-        except ConfigurationError:
-            raise
+        except ConfigurationError as exc:  # name the key, as a SimConfig refusal does
+            raise ConfigurationError(f"bad value for {key!r}: {exc}") from None
         except ValueError:
             raise ConfigurationError(f"bad value for {key!r}: {text!r}") from None
     return values

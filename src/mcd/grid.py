@@ -34,7 +34,6 @@ def _as_grid_values(values) -> np.ndarray:
             raise InvalidInputError("grid values must be finite")
     else:
         raise InvalidInputError(f"grid values must be numeric, got dtype {arr.dtype}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -95,15 +94,8 @@ class WindowSpec:
 
     def offsets(self) -> list[tuple[int, int]]:
         """All (di, dj) offsets covered by the window, row-major order."""
-        r = self.radius
-        if self.shape == "square":
-            return [(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)]
-        return [
-            (di, dj)
-            for di in range(-r, r + 1)
-            for dj in range(-r, r + 1)
-            if di * di + dj * dj <= r * r
-        ]
+        return [(di, dj) for di, hw in self.row_halfwidths()
+                for dj in range(-hw, hw + 1)]
 
     def row_halfwidths(self) -> list[tuple[int, int]]:
         """Per-row (di, halfwidth) pairs; the window covers |dj| <= halfwidth in row di."""

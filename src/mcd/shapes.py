@@ -17,10 +17,7 @@ SHAPE_KINDS = ("lshape", "oval", "triangle", "yshape", "disc", "custom")
 
 
 def _index_grids(dims):
-    rows, cols = dims
-    if rows < 2 or cols < 2:
-        raise InvalidInputError(f"grid dims must be at least 2x2, got {dims}")
-    return np.mgrid[0:rows, 0:cols]
+    return np.mgrid[0:dims[0], 0:dims[1]]
 
 
 def _lshape(dims):
@@ -71,30 +68,32 @@ def _yshape(dims):
     return mask
 
 
-def _disc(dims, center=None, radius=None):
+def _disc(dims, radius=None):
     rows, cols = dims
-    if center is None:
-        center = ((rows - 1) / 2.0, (cols - 1) / 2.0)
     if radius is None:
         radius = 0.2 * min(rows, cols)
-    if radius <= 0:
+    if not radius > 0:
         raise InvalidInputError(f"disc radius must be positive, got {radius}")
-    if (center[0] - radius < -0.5 or center[0] + radius > rows - 0.5
-            or center[1] - radius < -0.5 or center[1] + radius > cols - 0.5):
+    if 2 * radius > min(rows, cols):  # the centred disc reaches past a grid edge
         raise InvalidInputError("disc extends beyond the grid")
     rr, cc = _index_grids(dims)
-    return (rr - center[0]) ** 2 + (cc - center[1]) ** 2 <= radius**2
+    return (rr - (rows - 1) / 2.0) ** 2 + (cc - (cols - 1) / 2.0) ** 2 <= radius**2
 
 
-def gen_shape(kind: str, dims=(100, 100), mask=None, center=None, radius=None) -> np.ndarray:
-    """Boolean signal mask for a named shape on a grid of `dims`.
+def gen_shape(kind: str, dims=(100, 100), mask=None, radius=None) -> np.ndarray:
+    """Boolean signal mask for a named shape on a grid of at least 2x2 `dims`.
 
-    `custom` returns the provided mask verbatim (after validation);
-    `disc` accepts optional center/radius overrides.
+    `custom` returns the provided mask verbatim (after validation); only
+    `disc` takes a radius, which defaults to a fifth of the shorter side.
     """
     kind = str(kind).lower()
     if kind not in SHAPE_KINDS:
         raise InvalidInputError(f"unknown shape {kind!r}; expected one of {SHAPE_KINDS}")
+    rows, cols = dims
+    if rows < 2 or cols < 2:
+        raise InvalidInputError(f"grid dims must be at least 2x2, got {rows}x{cols}")
+    if radius is not None and kind != "disc":
+        raise InvalidInputError(f"a radius applies to shape 'disc' only, not {kind!r}")
     if kind == "custom":
         if mask is None:
             raise InvalidInputError("custom shape requires a mask")
@@ -103,7 +102,7 @@ def gen_shape(kind: str, dims=(100, 100), mask=None, center=None, radius=None) -
             raise InvalidInputError(f"custom mask shape {out.shape} does not match dims {tuple(dims)}")
         return out.copy()
     if kind == "disc":
-        out = _disc(dims, center=center, radius=radius)
+        out = _disc(dims, radius=radius)
     else:
         out = {"lshape": _lshape, "oval": _oval, "triangle": _triangle, "yshape": _yshape}[kind](dims)
     if not out.any():

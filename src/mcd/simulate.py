@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import circular_scan, pixel_pvalues, storey_fdr
+from .baselines import check_radii, circular_scan, pixel_pvalues, storey_fdr
 from .errors import (
     ConfigurationError,
     InvalidInputError,
     UndefinedMetricError,
 )
 from .grid import Grid, ScaleLadder, WindowSpec
-from .shapes import SHAPE_KINDS, boundary_partition, boundary_type_counts, gen_shape
+from .shapes import boundary_partition, boundary_type_counts, gen_shape
 from .stats import FAMILIES, ModelSpec, stat_field
 from .threshold import neighborhood_variability, run_detection
 
@@ -53,19 +53,21 @@ class SimConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if not self.alt_param > self.null_param:
-            raise ConfigurationError(
-                f"alternative parameter must exceed the null ({self.alt_param} <= {self.null_param})"
-            )
+        if not -np.inf < self.null_param < self.alt_param < np.inf:
+            raise ConfigurationError("null_param and alt_param must be finite, with alt_param above "
+                                     f"null_param (got {self.null_param}, {self.alt_param})")
         if self.family == "binomial" and not (0.0 < self.null_param < self.alt_param < 1.0):
-            raise ConfigurationError("binomial rates must satisfy 0 < p0 < p1 < 1")
+            raise ConfigurationError("binomial rates must satisfy 0 < null_param < alt_param < 1")
+        if self.family == "poisson" and not self.null_param > 0.0:
+            raise ConfigurationError(f"poisson null_param must be positive, got {self.null_param}")
         if self.family == "binomial" and self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.replicates < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigurationError(f"unknown method {m!r}; expected subset of {METHODS}")
+                raise ConfigurationError(
+                    f"methods: unknown method {m!r}; expected subset of {METHODS}")
         if self.threshold_count < 3:
             raise ConfigurationError(f"threshold_count must be >= 3, got {self.threshold_count}")
         if self.min_belt_count is not None and self.min_belt_count < 1:
@@ -80,21 +82,16 @@ class SimConfig:
             raise ConfigurationError(f"fdr_alpha must be in (0,1), got {self.fdr_alpha}")
         if not 0.0 < self.fdr_lambda < 1.0:
             raise ConfigurationError(f"fdr_lambda must be in (0,1), got {self.fdr_lambda}")
-        shape = str(self.shape).lower()
-        if shape not in SHAPE_KINDS:
-            raise ConfigurationError(f"unknown shape {shape!r}; expected one of {SHAPE_KINDS}")
-        if shape == "custom" and self.shape_mask is None:
-            raise ConfigurationError(
-                "shape 'custom' needs a shape_mask, which a manifest cannot give")
-        if self.disc_radius is not None:
-            if shape != "disc":
-                raise ConfigurationError(f"disc_radius applies to shape 'disc' only, not {shape!r}")
-            if not self.disc_radius > 0:
-                raise ConfigurationError(f"disc_radius must be positive, got {self.disc_radius}")
+        check_radii(self.scan_radii, "scan_radii")
         rows, cols = self.dims
         if rows < 1 or cols < 1:
             raise ConfigurationError(f"dims must be positive, got {rows}x{cols}")
         self.ladder.check_fits(self.dims)
+        try:
+            self.truth_mask()
+        except InvalidInputError as exc:
+            raise ConfigurationError(
+                f"cannot draw the truth mask from shape, dims and disc_radius: {exc}") from None
 
     def truth_mask(self) -> np.ndarray:
         return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)
@@ -273,7 +270,10 @@ def _theorem_setting(delta, dims, shape, mask, radius):
     # baseline (the theorems' hypotheses exclude it, the machinery does not)
     if delta < 0:
         raise ConfigurationError(f"delta must be nonnegative, got {delta}")
-    truth = gen_shape(shape, dims, mask=mask, radius=radius)
+    try:
+        truth = gen_shape(shape, dims, mask=mask, radius=radius)
+    except InvalidInputError as exc:
+        raise ConfigurationError(str(exc)) from None
     noise_in, boundary, signal_in = boundary_partition(truth)
     if not boundary.any() or not noise_in.any() or not signal_in.any():
         raise ConfigurationError("degenerate partition: need noise, boundary, and signal cells")

@@ -88,8 +88,8 @@ class ModelSpec:
         if self.sigma is not None:
             if family != "normal":
                 raise ConfigurationError("sigma only applies to the Normal family")
-            if not (self.sigma > 0):
-                raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+            if not 0.0 < self.sigma < np.inf:
+                raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
 
     def check_counts(self, grid: Grid) -> None:
         """Refuse a grid the family cannot model.

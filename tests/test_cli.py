@@ -1,16 +1,23 @@
 """CLI contract: exit codes, artifacts, determinism, env fallback, start-up imports."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcd import cli
 from mcd.cli import main
+from mcd.config import CONVERTERS
 from mcd.grid import Grid
 from mcd.gridio import read_grid_csv, write_grid_csv
 from mcd.shapes import gen_shape
@@ -278,6 +285,21 @@ class TestSimulate:
         ("fdr_alpha=0", "fdr_alpha"),
         ("fdr_lambda=1", "fdr_lambda"),
         ("fdr_lambda=-0.5", "fdr_lambda"),
+        ("dims=3x3", "dims"),  # disc_radius = 6 does not fit
+        ("disc_radius=80", "disc_radius"),
+        ("family=poisson null_param=-1 alt_param=1", "null_param"),
+        ("family=poisson null_param=0", "null_param"),
+        ("family=normal null_param=0 alt_param=inf", "alt_param"),
+        ("null_param=nan", "null_param"),
+        ("family=normal sigma=inf", "sigma"),
+        ("scan_radii=0", "scan_radii"),  # methods = mcd,fdr never run the scan
+        ("methods=scan scan_radii=0", "scan_radii"),
+        ("scan_radii=-2,3", "scan_radii"),
+        ("scan_radii=x", "scan_radii"),
+        ("methods=mcd,blob", "methods"),
+        ("alt_params=x", "alt_params"),
+        ("ladder=x:1", "ladder"),
+        ("seed=-1", "seed"),
     ])
     def test_bad_knob_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, setting, key):
         from mcd import simulate
@@ -287,7 +309,8 @@ class TestSimulate:
 
         monkeypatch.setattr(simulate, "simulate_grid", no_work)
         out = tmp_path / "out"
-        assert run("simulate", "--config", self.config(tmp_path), "--set", setting,
+        overrides = [arg for pair in setting.split() for arg in ("--set", pair)]
+        assert run("simulate", "--config", self.config(tmp_path), *overrides,
                    "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
@@ -308,6 +331,47 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"is too wide for a {dims[0]}x{dims[1]} grid" in err and "ladder square:0," in err
         assert "Traceback" not in err and not out.exists()
+
+    # per-family rates for the fuzzed manifest, so only the fuzzed value can be wrong
+    FUZZ_RATES = {"binomial": "null_param = 0.2\nalt_param = 0.5\ntrials = 50\n",
+                  "poisson": "null_param = 4\nalt_param = 9\n",
+                  "normal": "null_param = 0\nalt_param = 1\nsigma = 1\n"}
+
+    @given(family=st.sampled_from(sorted(FUZZ_RATES)),
+           key=st.sampled_from(sorted(set(CONVERTERS) - {"dims", "replicates"})),
+           value=st.one_of(st.integers(-50, 50).map(str), st.sampled_from(
+               ["nan", "inf", "-inf", "", "abc", "1,x", "x:1", "-", "1-"])))
+    @settings(max_examples=60, deadline=None)
+    def test_any_override_runs_or_exits_2_before_any_work(self, family, key, value):
+        from mcd import simulate
+
+        calls = []
+        real = simulate.simulate_grid
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(simulate, "simulate_grid", counting), \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            cfg = Path(tmp) / "tiny.cfg"
+            cfg.write_text(f"dims = 20x20\nfamily = {family}\n{self.FUZZ_RATES[family]}"
+                           "shape = disc\ndisc_radius = 5\nreplicates = 2\nseed = 5\n"
+                           "methods = mcd\nscan_reps = 19\nscan_radii = 1-3\n")
+            code = run("simulate", "--config", cfg, "--set", f"{key}={value}",
+                       "--out-dir", Path(tmp) / "out")
+        assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        if code == 2:
+            assert key in err.getvalue() and not calls, err.getvalue()
+
+    def test_roc_below_2_points_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", self.config(tmp_path), "--roc", "1",
+                   "--out-dir", out) == 2
+        assert "--roc: must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_binary_config_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "bin.cfg"
@@ -374,6 +438,17 @@ class TestScanFdr:
         assert run("scan", self.write_normal(tmp_path), "--family", "normal",
                    "--radii", "1-3", "--mc-reps", "19", "--out-dir", out) == 0
         assert json.loads((out / "scan.json").read_text())["clusters"]
+
+    @pytest.mark.parametrize("command", [
+        ("detect",),
+        ("fdr", "--alpha", "0.1"),
+        ("scan", "--radii", "1-3", "--mc-reps", "19"),
+    ])
+    def test_infinite_sigma_exits_2(self, tmp_path, capsys, command):
+        assert run(command[0], self.write_normal(tmp_path), "--family", "normal", "--sigma", "inf",
+                   *command[1:], "--out-dir", tmp_path / "out") == 2
+        assert "sigma must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ("fdr", "--alpha", "0.1"),
@@ -464,6 +539,19 @@ class TestTheorems:
         assert (out_env / "theorems.json").read_bytes() == \
             (out_flag / "theorems.json").read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--dims", "1x5"), "grid dims must be at least 2x2, got 1x5"),
+        (("--radius", "0"), "disc radius must be positive, got 0.0"),
+        (("--shape", "oval", "--radius", "3"), "a radius applies to shape 'disc' only, not 'oval'"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, argv, message):
+        assert run("theorems", "--delta", "1", "--reps", "2", *argv,
+                   "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("MCD_SEED", "99")
@@ -481,7 +569,9 @@ class TestTheorems:
 # the CSV writer (each distinct value formatted once, or a block of rows
 # at a time) must reproduce every byte. The Poisson circle, per-cell trials
 # and normal five-scale cases were recorded from the stacked statistic
-# (every scale's sums held at once) that the scale-by-scale loop replaced
+# (every scale's sums held at once) that the scale-by-scale loop replaced.
+# The Poisson and normal scans were recorded before the scan's observed
+# and Monte Carlo zone passes were merged into one generator
 ARTIFACT_DIGESTS = {
     "detect": {
         "detection.txt": "4405008db18714f00c7c7fb29a420fd0a0b492e912cf420670a4d29c151b7c2b",
@@ -540,6 +630,16 @@ ARTIFACT_DIGESTS = {
         "scan.json": "909b891471ea9b94bf8ccd836211bbfb92fb38dbf7989dacf9aa04fa41f9605e",
         "scan_mask.csv": "0d331dcc93d68057cc35f93550e6cbdf9743c11cefe6609cbd268192d5576896",
         "scan_mask.pgm": "1bbc176c551ff10b668f3fe7697d4fb01bc33251acf0d5e8bfc4fdb512c2fa36",
+    },
+    "scan-normal": {
+        "scan.json": "8b3da9926b2233c974c1aecfc76c5792a82acff0ba1befe6f9f09bb0c0f629b3",
+        "scan_mask.csv": "67ed73cfed3b7b52a0e2c131a6051b9755093de9b9d650f961ad152408b4f0c0",
+        "scan_mask.pgm": "570d1160fb01b08756bf78b0c2479405f273a0e396a4bc245d8931442b838f20",
+    },
+    "scan-poisson": {
+        "scan.json": "3c3d39a4e6375e9c5e5ef9c4d6de60d9c7528c26345ac0c16b898bb4754c0cbc",
+        "scan_mask.csv": "7abf69b34fe3cf70eb7c8593fe03fe8492740bc04bc0a4472c6af38d597d2f4a",
+        "scan_mask.pgm": "7cbb46af02f286cc51191b3951818b16209ef17fe5fdcefff5cef504b8d85db9",
     },
     "simulate": {
         "prob_fdr_0.25.csv": "e731ebee1cec5abc1b3bad77ea9d355eed73e52938107120fe6c3fc4773192b9",
@@ -605,6 +705,10 @@ ARTIFACT_ARGV = {
     "fdr-approx": ("fdr", FIXTURE, "--family", "binomial", "--alpha", "0.05", "--approx"),
     "scan": ("scan", FIXTURE, "--family", "binomial", "--radii", "1-20", "--mc-reps", "19",
              "--seed", "3"),
+    "scan-normal": ("scan", normal_input, "--family", "normal", "--radii", "1-6",
+                    "--mc-reps", "19", "--seed", "5", "--cluster-alpha", "0.5"),
+    "scan-poisson": ("scan", poisson_input, "--family", "poisson", "--radii", "1-6",
+                     "--mc-reps", "19", "--seed", "5", "--cluster-alpha", "0.5"),
     "simulate": ("simulate", "--config", "data/table2_lshape.cfg", "--set", "dims=40x40",
                  "--set", "methods=mcd,fdr", "--replicates", "3", "--seed", "11", "--roc", "20"),
 }

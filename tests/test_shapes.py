@@ -48,6 +48,11 @@ class TestGenShape:
         with pytest.raises(InvalidInputError):
             gen_shape("custom", (10, 10), mask=np.ones((5, 5), dtype=bool))
 
+    @pytest.mark.parametrize("kind", ["lshape", "oval", "triangle", "yshape", "disc", "custom"])
+    def test_dims_below_2x2_rejected(self, kind):
+        with pytest.raises(InvalidInputError, match="at least 2x2, got 1x40"):
+            gen_shape(kind, (1, 40), mask=np.eye(1, 40, dtype=bool))
+
     def test_deterministic(self):
         a = gen_shape("yshape", (100, 100))
         b = gen_shape("yshape", (100, 100))

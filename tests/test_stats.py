@@ -40,8 +40,9 @@ class TestModelSpec:
         ModelSpec("normal", sigma=2.0)
         with pytest.raises(ConfigurationError):
             ModelSpec("poisson", sigma=1.0)
-        with pytest.raises(ConfigurationError):
-            ModelSpec("normal", sigma=0.0)
+        for sigma in (0.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="sigma must be positive and finite"):
+                ModelSpec("normal", sigma=sigma)
 
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
