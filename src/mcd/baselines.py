@@ -205,10 +205,10 @@ def _zone_llrs(model, y_in, e_in, y_tot, e_tot):
     y_out = y_tot - y_in
     e_out = e_tot - e_in
     r_all = y_tot / e_tot
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zone covering the grid has e_out = 0
         r_in = y_in / e_in
         r_out = y_out / e_out
-    llr = model.llr(y_in, e_in, r_in, r_all) + model.llr(y_out, e_out, r_out, r_all)
+        llr = model.llr(y_in, e_in, r_in, r_all) + model.llr(y_out, e_out, r_out, r_all)
     return np.where(r_in > r_out, llr / (model.sigma or 1.0) ** 2, 0.0)
 
 
@@ -224,6 +224,27 @@ def _zone_llr_fields(model, values, zones, e_tot):
     for window, e_in, allowed in zones:
         y_in, _ = window_sum_field(sat, window)
         yield np.where(allowed, _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot), 0.0)
+
+
+def scan_zones(exposure: Grid, radii) -> tuple[list, float]:
+    """The scan's zone table and the total exposure.
+
+    The table holds (window, e_in, allowed) per radius: its circle, each
+    centre's zone exposure and whether that zone stays within half the
+    total exposure. Exposure is the trials map for Binomial and one per
+    cell otherwise, so the table never depends on the data. Radii whose
+    zones all exceed the cap are refused.
+    """
+    e_tot = float(exposure.values.sum())
+    sat = build_sat(exposure)
+    zones = []
+    for r in radii:
+        window = WindowSpec("circle", r)
+        e_in = window_sum_field(sat, window)[0].astype(np.float64)
+        zones.append((window, e_in, e_in <= 0.5 * e_tot))
+    if not any(allowed.any() for _, _, allowed in zones):
+        raise ConfigurationError("every zone exceeds half the total exposure; reduce radii")
+    return zones, e_tot
 
 
 def check_radii(radii, name: str = "radii") -> list[int]:
@@ -252,8 +273,9 @@ def circular_scan(
     regenerating the grid `mc_reps` times under the fitted null:
     p = (1 + #{replicate max >= zone LLR}) / (mc_reps + 1). Clusters are
     reported greedily in LLR order, skipping zones that overlap an
-    already-reported cluster, stopping once significance is lost; the
-    mask is the union of clusters with p <= cluster_alpha.
+    already-reported cluster, stopping once significance is lost; of
+    zones with exactly equal LLRs, the last in (radius, row, col) order
+    comes first. The mask is the union of clusters with p <= cluster_alpha.
     """
     if mc_reps < 19:
         raise ConfigurationError(f"mc_reps must be >= 19 for usable p-values, got {mc_reps}")
@@ -265,25 +287,11 @@ def circular_scan(
     rows, cols = grid.shape
     if model.family == "normal":
         model = replace(model, sigma=model.noise_sigma(grid))
-    if model.trials is not None:
-        exposure = model.trials
-    else:
-        exposure = Grid(np.ones((rows, cols), dtype=np.int64))
+    exposure = model.trials or Grid(np.ones((rows, cols), dtype=np.int64))
+    zones, e_tot = scan_zones(exposure, radii)
     y_tot = float(grid.values.sum())
-    e_tot = float(exposure.values.sum())
     # the fitted null: one pooled rate (or mean) per unit of exposure
     null_mean = np.full((rows, cols), y_tot / e_tot)
-
-    # per-radius zone exposures and the half-exposure eligibility cap;
-    # these depend only on the trials map, not the replicate data
-    exposure_sat = build_sat(exposure)
-    zones = []
-    for r in radii:
-        window = WindowSpec("circle", r)
-        e_in = window_sum_field(exposure_sat, window)[0].astype(np.float64)
-        zones.append((window, e_in, e_in <= 0.5 * e_tot))
-    if not any(allowed.any() for _, _, allowed in zones):
-        raise ConfigurationError("every zone exceeds half the total exposure; reduce radii")
 
     # observed zone LLRs, kept per radius for the greedy cluster pass
     obs_llrs = np.empty((len(zones), rows, cols))
@@ -300,47 +308,38 @@ def circular_scan(
         rep_max[rep] = max(0.0, *(float(llr.max())
                                   for llr in _zone_llr_fields(model, sim, zones, e_tot)))
 
-    def zone_pvalue(llr: float) -> float:
-        return float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))
+    def dilate(cells, window):
+        """Centres whose `window` holds a cell of `cells`."""
+        return window_sum_field(build_sat(Grid(cells)), window)[0] > 0
 
-    # each radius's circle as a boolean patch centred in its bounding box
-    patches = {}
-    for window, _, _ in zones:
-        r = window.radius
-        di, dj = np.array(window.offsets()).T
-        patches[r] = np.zeros((2 * r + 1, 2 * r + 1), dtype=bool)
-        patches[r][di + r, dj + r] = True
-
-    def zone_box(i, j, radius):
-        """The zone's bounding box clipped to the grid, and its patch there."""
-        i0, i1 = max(0, i - radius), min(rows, i + radius + 1)
-        j0, j1 = max(0, j - radius), min(cols, j + radius + 1)
-        patch = patches[radius][i0 - i + radius:i1 - i + radius, j0 - j + radius:j1 - j + radius]
-        return (slice(i0, i1), slice(j0, j1)), patch
-
-    order = np.argsort(obs_llrs.ravel())[::-1]
-    claimed = np.zeros((rows, cols), dtype=bool)
+    # greedy clusters: the open zone with the largest LLR, an exact tie going
+    # to the last zone in (radius, row, col) order; a reported cluster closes
+    # every zone that touches it, whose centres are its dilation by their circle
+    flat = obs_llrs.ravel()
     clusters: list[ScanCluster] = []
-    for flat in order:
-        k, i, j = (int(v) for v in np.unravel_index(flat, obs_llrs.shape))
-        llr = float(obs_llrs[k, i, j])
+    detection = np.zeros((rows, cols), dtype=bool)
+    while True:
+        at = flat.size - 1 - int(np.argmax(flat[::-1]))
+        llr = float(flat[at])
         if llr <= 0.0:
             break
-        box, patch = zone_box(i, j, radii[k])
-        if (claimed[box] & patch).any():
-            continue
-        p = zone_pvalue(llr)
+        p = float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))
         if clusters and p > cluster_alpha:
             break
-        mask = np.zeros((rows, cols), dtype=bool)
-        mask[box] = patch
+        k, i, j = (int(v) for v in np.unravel_index(at, obs_llrs.shape))
+        # the centres of every zone that can touch this cluster
+        reach = radii[k] + radii[-1]
+        box = slice(max(0, i - reach), i + reach + 1), slice(max(0, j - reach), j + reach + 1)
+        centre = np.zeros_like(detection[box])
+        centre[i - box[0].start, j - box[1].start] = True
+        cells = dilate(centre, zones[k][0])
+        mask = np.zeros_like(detection)
+        mask[box] = cells
         clusters.append(ScanCluster(center=(i, j), radius=radii[k], mask=mask, llr=llr, p_value=p))
-        claimed |= mask
         if p > cluster_alpha:
             break
-    detection = np.zeros((rows, cols), dtype=bool)
-    for c in clusters:
-        if c.p_value <= cluster_alpha:
-            detection |= c.mask
+        detection |= mask
+        for (window, _, _), llrs in zip(zones, obs_llrs):
+            llrs[box][dilate(cells, window)] = -np.inf
     return ScanResult(clusters=tuple(clusters), mask=detection,
                       mc_reps=mc_reps, cluster_alpha=float(cluster_alpha))

@@ -31,7 +31,6 @@ from .errors import (
     DegenerateDataError,
     GridParseError,
     InvalidInputError,
-    McdError,
     UndefinedMetricError,
 )
 from .grid import Grid, validate_trials
@@ -419,11 +418,7 @@ def main(argv=None) -> int:
     except (DegenerateDataError, InvalidInputError, UndefinedMetricError) as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 3
-    except McdError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 4
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary: McdError and anything else
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import check_radii, circular_scan, pixel_pvalues, storey_fdr
+from .baselines import check_radii, circular_scan, pixel_pvalues, scan_zones, storey_fdr
 from .errors import (
     ConfigurationError,
     InvalidInputError,
@@ -82,7 +82,7 @@ class SimConfig:
             raise ConfigurationError(f"fdr_alpha must be in (0,1), got {self.fdr_alpha}")
         if not 0.0 < self.fdr_lambda < 1.0:
             raise ConfigurationError(f"fdr_lambda must be in (0,1), got {self.fdr_lambda}")
-        check_radii(self.scan_radii, "scan_radii")
+        radii = check_radii(self.scan_radii, "scan_radii")
         rows, cols = self.dims
         if rows < 1 or cols < 1:
             raise ConfigurationError(f"dims must be positive, got {rows}x{cols}")
@@ -92,6 +92,12 @@ class SimConfig:
         except InvalidInputError as exc:
             raise ConfigurationError(
                 f"cannot draw the truth mask from shape, dims and disc_radius: {exc}") from None
+        if "scan" in self.methods:  # the zone table depends only on dims and the trials
+            exposure = Grid(np.full(self.dims, self.trials if self.family == "binomial" else 1))
+            try:
+                scan_zones(exposure, radii)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"scan_radii: {exc}") from None
 
     def truth_mask(self) -> np.ndarray:
         return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)

@@ -1,5 +1,7 @@
 """Per-pixel testing with FDR control, and the circular scan."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from mcd.baselines import (
     pixel_pvalues,
     storey_fdr,
 )
-from mcd.baselines import _zone_llrs
+from mcd.baselines import _zone_llr_fields, _zone_llrs, scan_zones
 from mcd.errors import ConfigurationError
 from mcd.grid import Grid, WindowSpec
 from mcd.stats import ModelSpec, estimate_null
@@ -315,6 +317,75 @@ class TestCircularScan:
             if res.clusters and res.clusters[0].p_value <= alpha:
                 hits += 1
         assert hits / runs <= alpha + 1.0 / 20 + 0.02  # small slack for MC noise
+
+    def test_exact_tie_goes_to_the_last_zone(self):
+        # every radius-1 zone holding one 9 scores the same; the last of
+        # them in (radius, row, col) order is (15, 14), below the second 9
+        y = np.full((30, 30), 2)
+        y[5, 5] = y[14, 14] = 9
+        res = circular_scan(Grid(y), ModelSpec("poisson"), radii=(1, 2, 3), mc_reps=19, seed=1,
+                            cluster_alpha=0.5)
+        assert (res.clusters[0].center, res.clusters[0].radius) == ((15, 14), 1)
+
+    @given(family=st.sampled_from(["binomial", "poisson", "normal"]),
+           shape=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+           radii=st.sets(st.integers(1, 4), min_size=1, max_size=3),
+           per_cell_trials=st.booleans(),
+           cluster_alpha=st.sampled_from([0.05, 0.5, 0.95]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_clusters_are_the_best_open_zones(self, family, shape, radii, per_cell_trials,
+                                              cluster_alpha, seed):
+        # small values and rounded normals make exactly tied LLRs common
+        rng = np.random.default_rng(seed)
+        hot = rng.random(shape) < 0.15
+        exposure = np.ones(shape, dtype=int)
+        if family == "binomial":
+            exposure = rng.integers(1, 5, size=shape) if per_cell_trials else np.full(shape, 3)
+            y = rng.binomial(exposure, np.where(hot, 0.8, 0.3))
+            model = ModelSpec("binomial", trials=Grid(exposure))
+        elif family == "poisson":
+            y = rng.poisson(np.where(hot, 4.0, 1.0))
+            model = ModelSpec("poisson")
+        else:
+            y = np.round(rng.normal(np.where(hot, 2.0, 0.0)), 1)
+            model = ModelSpec("normal", sigma=1.0)
+        radii = sorted(radii)
+        try:
+            zones, e_tot = scan_zones(Grid(exposure), radii)
+        except ConfigurationError:
+            return  # every zone over the cap; circular_scan refuses it too
+        llrs = np.array(list(_zone_llr_fields(model, Grid(y).values, zones, e_tot)))
+        res = circular_scan(Grid(y), model, radii=radii, mc_reps=19, cluster_alpha=cluster_alpha,
+                            seed=seed)
+        rows, cols = shape
+        zone_masks = np.array([[[circle_mask(shape, (i, j), r) for j in range(cols)]
+                                for i in range(rows)] for r in radii])
+        claimed = np.zeros(shape, dtype=bool)
+        for n, c in enumerate(res.clusters):
+            assert 1 / 20 <= c.p_value <= 1.0
+            assert c.p_value <= cluster_alpha or n == 0
+            open_llrs = np.where((zone_masks & claimed).any(axis=(3, 4)), -np.inf, llrs)
+            best = open_llrs.max()
+            k, i, j = np.argwhere(open_llrs == best)[-1]
+            assert c.llr == best > 0.0
+            assert (c.center, c.radius) == ((i, j), radii[k])
+            np.testing.assert_array_equal(c.mask, zone_masks[k, i, j])
+            assert not (claimed & c.mask).any()
+            claimed |= c.mask
+        if not res.clusters:
+            assert llrs.max() <= 0.0
+        elif res.clusters[0].p_value > cluster_alpha:
+            assert len(res.clusters) == 1 and not res.mask.any()
+        else:
+            np.testing.assert_array_equal(res.mask, claimed)
+
+    def test_full_grid_zones_warn_nothing(self):
+        # radii up to 20 give zones with no cell outside them (e_out = 0)
+        y = np.random.default_rng(0).normal(0, 1, (12, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            circular_scan(Grid(y), ModelSpec("normal"), radii=range(1, 21), mc_reps=19)
 
     def test_exposure_cap_blocks_oversized_zones(self):
         y = np.arange(49).reshape(7, 7)

@@ -296,6 +296,7 @@ class TestSimulate:
         ("methods=scan scan_radii=0", "scan_radii"),
         ("scan_radii=-2,3", "scan_radii"),
         ("scan_radii=x", "scan_radii"),
+        ("methods=mcd,scan scan_reps=19 scan_radii=50", "scan_radii"),  # every zone over the cap
         ("methods=mcd,blob", "methods"),
         ("alt_params=x", "alt_params"),
         ("ladder=x:1", "ladder"),
@@ -571,7 +572,13 @@ class TestTheorems:
 # and normal five-scale cases were recorded from the stacked statistic
 # (every scale's sums held at once) that the scale-by-scale loop replaced.
 # The Poisson and normal scans were recorded before the scan's observed
-# and Monte Carlo zone passes were merged into one generator
+# and Monte Carlo zone passes were merged into one generator.
+# The digests hold on one machine, not across CPUs: numpy's SIMD `log`,
+# `log1p` and `exp` give other last bits under other dispatch. With
+# NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" on an AVX-512
+# host, stat.csv of detect, detect-five-scale and
+# detect-trials-file-five-scale and the last digits of one LLR in
+# scan.json differ, while every mask and cluster choice stays the same
 ARTIFACT_DIGESTS = {
     "detect": {
         "detection.txt": "4405008db18714f00c7c7fb29a420fd0a0b492e912cf420670a4d29c151b7c2b",
@@ -721,6 +728,26 @@ def test_fixture_artifacts_byte_identical(tmp_path, name):
     got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
            for f in ARTIFACT_DIGESTS[name]}
     assert got == ARTIFACT_DIGESTS[name]
+
+
+def test_scan_clusters_do_not_depend_on_simd_dispatch(tmp_path):
+    # clusters 3 and 4 of this scan tie exactly; an unstable sort of the
+    # zones ordered them by the CPU features numpy dispatched on
+    import json
+
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(a(tmp_path / "in")) if callable(a) else a for a in ARTIFACT_ARGV["scan-poisson"]]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(root / "src")
+    found = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}):
+        out = tmp_path / f"out{len(found)}"
+        proc = subprocess.run([sys.executable, "-m", "mcd.cli", *argv, "--out-dir", str(out)],
+                              cwd=root, env={**env, **disabled}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "scan.json").read_text())
+        found.append([(c["center"], c["radius"]) for c in report["clusters"]])
+    assert found[0] == found[1]
 
 
 class TestStartup:
