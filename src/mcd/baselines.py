@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalInvariantError
+from .errors import ConfigurationError, DegenerateDataError, InternalInvariantError
 from .grid import Grid, WindowSpec, build_sat, window_sum_field
 from .stats import ModelSpec, estimate_null
 
@@ -205,11 +205,14 @@ def _zone_llrs(model, y_in, e_in, y_tot, e_tot):
     y_out = y_tot - y_in
     e_out = e_tot - e_in
     r_all = y_tot / e_tot
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zone covering the grid has e_out = 0
+    # a zone covering the grid has e_out = 0; an overflow leaves a non-finite LLR, which
+    # `circular_scan` refuses (numpy's power, the same C pow as Python's, gives inf, not an error)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r_in = y_in / e_in
         r_out = y_out / e_out
         llr = model.llr(y_in, e_in, r_in, r_all) + model.llr(y_out, e_out, r_out, r_all)
-    return np.where(r_in > r_out, llr / (model.sigma or 1.0) ** 2, 0.0)
+        llr /= np.float64(model.sigma or 1.0) ** 2
+    return np.where(r_in > r_out, llr, 0.0)
 
 
 def _zone_llr_fields(model, values, zones, e_tot):
@@ -289,6 +292,8 @@ def circular_scan(
         model = replace(model, sigma=model.noise_sigma(grid))
     exposure = model.trials or Grid(np.ones((rows, cols), dtype=np.int64))
     zones, e_tot = scan_zones(exposure, radii)
+    while not zones[-1][2].any():  # zone exposure grows with the radius: every wider one
+        del zones[-1], radii[-1]  # is over the cap too, and its LLRs are all 0
     y_tot = float(grid.values.sum())
     # the fitted null: one pooled rate (or mean) per unit of exposure
     null_mean = np.full((rows, cols), y_tot / e_tot)
@@ -297,6 +302,9 @@ def circular_scan(
     obs_llrs = np.empty((len(zones), rows, cols))
     for k, llr in enumerate(_zone_llr_fields(model, grid.values, zones, e_tot)):
         obs_llrs[k] = llr
+    if not np.isfinite(obs_llrs).all():  # finite input, so the float range ran out
+        raise DegenerateDataError("zone log-likelihood ratios overflow double precision: the "
+                                  "values are too large, or sigma too small, for this model")
 
     # Monte Carlo distribution of the max LLR under the fitted null; each
     # replicate gets its own deterministic stream. The running maximum

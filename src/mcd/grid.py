@@ -109,8 +109,8 @@ class WindowSpec:
 class ScaleLadder:
     """An increasing sequence of windows inducing nested regions per pixel.
 
-    The first window must have radius 0 (the pixel itself). Nesting of the
-    covered offset sets is validated explicitly, so mixed square/circle
+    The first window must have radius 0 (the pixel itself). Nesting is
+    validated row by row from the half-widths, so mixed square/circle
     ladders are allowed as long as each window contains the previous one.
     """
 
@@ -126,14 +126,11 @@ class ScaleLadder:
         radii = [w.radius for w in windows]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidInputError(f"ladder radii must be strictly increasing, got {radii}")
-        prev: set[tuple[int, int]] = set()
-        for w in windows:
-            cur = set(w.offsets())
-            if not prev < cur and prev:
-                raise InvalidInputError(
-                    f"ladder windows must be strictly nested; {w} does not contain its predecessor"
-                )
-            prev = cur
+        for inner, w in zip(windows, windows[1:]):  # wider, so containment is strict
+            outer = dict(w.row_halfwidths())
+            if any(hw > outer[di] for di, hw in inner.row_halfwidths()):
+                raise InvalidInputError(f"ladder windows must be strictly nested; "
+                                        f"{w} does not contain its predecessor")
 
     @classmethod
     def of(cls, shape: str, radii) -> ScaleLadder:
@@ -161,25 +158,26 @@ class ScaleLadder:
 
         Annuli are symmetric in each coordinate, so the central pixel, whose
         reach is the shortest, loses one first: annulus r is empty somewhere
-        exactly when none of its offsets (a, b) has |a| <= ceil((rows-1)/2)
-        and |b| <= ceil((cols-1)/2). No pass over the grid is needed.
+        exactly when it is empty clipped to that reach, with no grid pass.
         """
         rows, cols = shape
         for r in range(1, self.scale_count):
-            if not any(abs(a) <= rows // 2 and abs(b) <= cols // 2
-                       for a, b in self.annulus_offsets(r)):
+            if not self.annulus_offsets(r, (rows // 2 + 1, cols // 2 + 1)):
                 raise ConfigurationError(
                     f"ladder {self} is too wide for a {rows}x{cols} grid: the annulus of "
                     f"{self.windows[r].shape}:{self.windows[r].radius} holds no cell "
                     f"around the central pixel")
 
-    def annulus_offsets(self, r: int) -> list[tuple[int, int]]:
-        """Offsets in window r but not window r-1 (0-based; r=0 is the innermost)."""
-        outer = self.windows[r].offsets()
-        if r == 0:
-            return outer
-        inner = set(self.windows[r - 1].offsets())
-        return [o for o in outer if o not in inner]
+    def annulus_offsets(self, r: int, shape=None) -> list[tuple[int, int]]:
+        """Offsets in window r but not window r-1 (0-based; r=0 is the innermost), row-major.
+
+        With `shape` = (rows, cols), only offsets with |di| < rows and |dj| < cols are kept.
+        """
+        rows, cols = shape or (math.inf, math.inf)
+        inner = dict(self.windows[r - 1].row_halfwidths()) if r else {}
+        return [(di, dj) for di, hw in self.windows[r].row_halfwidths() if abs(di) < rows
+                for dj in range(-min(hw, cols - 1), min(hw, cols - 1) + 1)
+                if abs(dj) > inner.get(di, -1)]
 
 
 # a pixel and its 4 nearest neighbors, the pixel first
@@ -253,25 +251,24 @@ def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> tuple[np.ndarr
     """Window sums and clipped counts for every pixel at once.
 
     Returns (sums, counts), each of shape (rows, cols). Sums are int64 for
-    integer grids, float64 otherwise. Each window row is four plain slices
-    of the SAT padded by the window radius, combined as
-    t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the
-    grid reads 0); counts come from the clipped row and column extents.
+    integer grids, float64 otherwise. Each window row that meets the grid is
+    four slices of the SAT padded by the radius, at most the longer grid side
+    (wider half-widths are clamped and read the same entries), combined as
+    t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the grid
+    reads 0); counts come from the clipped row and column extents.
     """
     rows, cols = sat.rows, sat.cols
-    pad = window.radius
+    pad = min(window.radius, max(rows, cols))
     t = _padded_table(sat.table, pad)
     sums = np.zeros((rows, cols), dtype=t.dtype)
     seg = np.empty_like(sums)
-    halfwidths = window.row_halfwidths()
+    halfwidths = [(di, min(hw, pad)) for di, hw in window.row_halfwidths() if -rows < di < rows]
     # window rows of one half-width share their clipped column widths, so
     # counts is one small product: rows_per_hw[k, i] window rows of
     # half-width hws[k] reach grid row i
     hws = sorted({hw for _, hw in halfwidths})
     rows_per_hw = np.zeros((len(hws), rows), dtype=np.int64)
     for di, hw in halfwidths:
-        if not -rows < di < rows:
-            continue  # the whole window row lies off the grid
         top, bottom = t[pad + di:pad + di + rows], t[pad + di + 1:pad + di + 1 + rows]
         c0, c1 = slice(pad - hw, pad - hw + cols), slice(pad + hw + 1, pad + hw + 1 + cols)
         np.subtract(bottom[:, c1], top[:, c1], out=seg)

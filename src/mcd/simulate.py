@@ -24,6 +24,9 @@ from .threshold import neighborhood_variability, run_detection
 
 METHODS = ("mcd", "fdr", "scan")
 
+# numpy's Poisson sampler refuses a mean above about 9.22e18
+POISSON_MAX_RATE = 9e18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -60,6 +63,9 @@ class SimConfig:
             raise ConfigurationError("binomial rates must satisfy 0 < null_param < alt_param < 1")
         if self.family == "poisson" and not self.null_param > 0.0:
             raise ConfigurationError(f"poisson null_param must be positive, got {self.null_param}")
+        if self.family == "poisson" and self.alt_param > POISSON_MAX_RATE:
+            raise ConfigurationError(
+                f"poisson alt_param must be at most {POISSON_MAX_RATE:g}, got {self.alt_param}")
         if self.family == "binomial" and self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.replicates < 1:
@@ -274,8 +280,8 @@ def auc(points: np.ndarray) -> float:
 def _theorem_setting(delta, dims, shape, mask, radius):
     # delta = 0 is allowed: the checks then measure the chance-level
     # baseline (the theorems' hypotheses exclude it, the machinery does not)
-    if delta < 0:
-        raise ConfigurationError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ConfigurationError(f"delta must be nonnegative and finite, got {delta}")
     try:
         truth = gen_shape(shape, dims, mask=mask, radius=radius)
     except InvalidInputError as exc:

@@ -19,12 +19,13 @@ enumerated annulus, and memory stays a few bytes per pixel whatever the
 annulus size. Each cell is replaced by its level, the index of its value
 among the distinct cell values, in the narrowest unsigned dtype that
 also holds the sentinel level `levels.size`. The level grid is padded
-with the sentinel by the ladder's widest radius, in rows above and below
-and in columns left of every row (flattened, these also follow the row
-above, so they pad its right end too), and flattened. Each annulus
-offset (di, dj) is then one contiguous slice, shifted by di * width + dj,
-and a neighbour off the grid reads the sentinel. Pixels in the pad
-columns compute values that are dropped.
+with the sentinel by the widest radius, at most the grid's longer side
+less 1, in rows above and below and in columns left of every row
+(flattened, these also follow the row above, so they pad its right end
+too), and flattened. Each annulus offset (di, dj) with |di| < rows and
+|dj| < cols (no other reaches a cell) is one contiguous slice, shifted
+by di * width + dj, and a neighbour off the grid reads the sentinel.
+Pixels in the pad columns compute values that are dropped.
 
 The median of c cells is the mean of the levels of ranks (c-1)//2 and
 c//2. A bisection over the levels finds the first: each probe compares
@@ -135,11 +136,12 @@ class ModelSpec:
         Exposure is the trials for Binomial and the cell count otherwise. For
         Normal the result is sigma^2 times the ratio, so callers divide by
         sigma^2. A term whose count is 0 contributes 0 whatever its rate (the
-        xlogy convention), which keeps rates of 0 or 1 finite.
+        xlogy convention), which keeps rates of 0 or 1 finite. An overflow
+        is left to the caller, which refuses a non-finite result.
         """
-        if self.family == "normal":
-            return y * (theta1 - theta0) + e * (theta0 * theta0 - theta1 * theta1) / 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.family == "normal":
+                return y * (theta1 - theta0) + e * (theta0 * theta0 - theta1 * theta1) / 2
             llr = _xlogratio(y, np.log(theta1), np.log(theta0))
             if self.family == "binomial":
                 return llr + _xlogratio(e - y, np.log1p(-theta1), np.log1p(-theta0))
@@ -255,7 +257,7 @@ def _annulus_medians(cellvals: np.ndarray, ladder: ScaleLadder):
     """
     levels, idx = np.unique(cellvals, return_inverse=True)
     rows, cols = cellvals.shape
-    pad = ladder.windows[-1].radius
+    pad = min(ladder.windows[-1].radius, max(rows, cols) - 1)
     width = cols + pad  # a row's pad columns also pad the end of the row above
     start = pad * width + pad  # flat position of cell (0, 0)
     # the sentinel levels.size marks off-grid cells; the narrowest unsigned
@@ -266,7 +268,7 @@ def _annulus_medians(cellvals: np.ndarray, ladder: ScaleLadder):
     del idx
     yield cellvals  # the radius-0 annulus is the pixel itself
     for r in range(1, ladder.scale_count):
-        shifts = [start + di * width + dj for di, dj in ladder.annulus_offsets(r)]
+        shifts = [start + di * width + dj for di, dj in ladder.annulus_offsets(r, (rows, cols))]
         yield _annulus_median(flat, levels, shifts, (rows, cols), width)
 
 
@@ -299,4 +301,9 @@ def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
         total += model.llr(dx, de, np.maximum(alt, null), null)
         x_prev, e_prev = x, e
     # dividing by sigma^2 after the sum (1 for the count families) keeps T exact
-    return StatField(values=2.0 * total / (sigma * sigma), model=model, ladder=ladder)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = 2.0 * total / (sigma * sigma)
+    if not np.isfinite(values).all():  # finite input, so the float range ran out
+        raise DegenerateDataError("the statistic overflows double precision: the values are "
+                                  "too large, or sigma too small, for this model")
+    return StatField(values=values, model=model, ladder=ladder)

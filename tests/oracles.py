@@ -1,11 +1,13 @@
 """Independent reference implementations used to validate the fast paths.
 
 Everything here is deliberately naive: annulus membership by direct
-offset enumeration, estimates from first principles, and T(s) as
--2 (log L0 - log L1) with per-cell scipy log-likelihoods. No closed-form
-cancellation; the one summed-area-table routine is the index-gather form
-of the window sums, kept to pin the sliced form bit for bit, and the grid
-CSV reader is the row-at-a-time parser, kept to pin the C-parsed one.
+offset enumeration, window offsets by testing every cell of the bounding
+square and annuli as set differences of them, estimates from first
+principles, and T(s) as -2 (log L0 - log L1) with per-cell scipy
+log-likelihoods. No closed-form cancellation; the one summed-area-table
+routine is the index-gather form of the window sums, kept to pin the
+sliced form bit for bit, and the grid CSV reader is the row-at-a-time
+parser, kept to pin the C-parsed one.
 """
 
 import numpy as np
@@ -21,6 +23,31 @@ def annulus_cells(ladder, pixel, r, shape):
         for di, dj in ladder.annulus_offsets(r)
         if 0 <= i + di < rows and 0 <= j + dj < cols
     ]
+
+
+def window_offset_set(window):
+    """Every (di, dj) in a window, by testing each cell of its bounding square."""
+    r = window.radius
+    if window.shape == "square":
+        return {(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)}
+    return {(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1) if di * di + dj * dj <= r * r}
+
+
+def ladder_nested(windows):
+    """Whether each window's offset set strictly contains the one before it."""
+    sets = [window_offset_set(w) for w in windows]
+    return all(a < b for a, b in zip(sets, sets[1:]))
+
+
+def annulus_offset_list(windows, r, shape=None):
+    """Window r's offsets less window r-1's, by set difference, row-major.
+
+    With `shape` = (rows, cols), only offsets with |di| < rows and |dj| < cols are kept.
+    """
+    rows, cols = shape or (float("inf"), float("inf"))
+    inner = window_offset_set(windows[r - 1]) if r else set()
+    return sorted((di, dj) for di, dj in window_offset_set(windows[r]) - inner
+                  if abs(di) < rows and abs(dj) < cols)
 
 
 def gather_window_sum_field(sat, window):

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats as sps
 
 from mcd.baselines import (
@@ -17,6 +18,7 @@ from mcd.baselines import (
 from mcd.baselines import _zone_llr_fields, _zone_llrs, scan_zones
 from mcd.errors import ConfigurationError
 from mcd.grid import Grid, WindowSpec
+from mcd.shapes import gen_shape
 from mcd.stats import ModelSpec, estimate_null
 from oracles import (
     oracle_binom_sf,
@@ -177,12 +179,19 @@ class TestStoreyFdr:
             assert res.gamma == pytest.approx(gamma, rel=1e-12)
             np.testing.assert_array_equal(res.mask, mask)
 
-    def test_mask_monotone_in_alpha(self):
-        rng = np.random.default_rng(239)
-        p = PValueField(values=rng.uniform(size=(20, 20)) ** 2)
-        prev = np.zeros((20, 20), dtype=bool)
-        for alpha in (0.05, 0.1, 0.2, 0.4, 0.6, 0.8):
-            mask = storey_fdr(p, alpha=alpha).mask
+    @given(p=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                    elements=st.one_of(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.5, 1.0]),
+                                       st.floats(0.0, 1.0))),
+           alphas=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=6),
+           lam=st.sampled_from([0.2, 0.5, 0.8]))
+    @example(p=np.random.default_rng(239).uniform(size=(20, 20)) ** 2,
+             alphas=[0.05, 0.1, 0.2, 0.4, 0.6, 0.8], lam=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_mask_monotone_in_alpha(self, p, alphas, lam):
+        # the sampled pool gives tied and repeated p-values
+        prev = np.zeros(p.shape, dtype=bool)
+        for alpha in sorted(alphas):
+            mask = storey_fdr(PValueField(values=p), alpha=alpha, lam=lam).mask
             assert np.all(mask[prev])  # earlier rejections stay rejected
             prev = mask
 
@@ -317,6 +326,22 @@ class TestCircularScan:
             if res.clusters and res.clusters[0].p_value <= alpha:
                 hits += 1
         assert hits / runs <= alpha + 1.0 / 20 + 0.02  # small slack for MC noise
+
+    def test_radii_past_the_exposure_cap_change_nothing(self):
+        # on this 45x38 grid no zone wider than about radius 40 stays within
+        # half the exposure; those radii score 0 everywhere and are dropped
+        truth = gen_shape("disc", (45, 38), radius=7.0)
+        grid = Grid(np.random.default_rng(31).poisson(np.where(truth, 9.0, 4.0)))
+        zones, _ = scan_zones(Grid(np.ones((45, 38), dtype=np.int64)), range(1, 201))
+        last = max(window.radius for window, _, allowed in zones if allowed.any())
+        assert last < 200
+        wide, kept = (circular_scan(grid, ModelSpec("poisson"), radii=range(1, top + 1), mc_reps=19,
+                                    cluster_alpha=0.5, seed=5) for top in (200, last))
+        assert [(c.center, c.radius, c.llr, c.p_value) for c in wide.clusters] == \
+            [(c.center, c.radius, c.llr, c.p_value) for c in kept.clusters]
+        for a, b in zip(wide.clusters, kept.clusters):
+            np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_array_equal(wide.mask, kept.mask)
 
     def test_exact_tie_goes_to_the_last_zone(self):
         # every radius-1 zone holding one 9 scores the same; the last of

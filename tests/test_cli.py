@@ -141,6 +141,17 @@ class TestDetect:
         assert f"is too wide for a {dims[0]}x{dims[1]} grid" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_ladder_wider_than_the_grid_costs_what_the_grid_holds(self, tmp_path):
+        # either square covers the whole 50x50 grid from every pixel
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        for radius in (300, 49):
+            subprocess.run([sys.executable, "-m", "mcd.cli", "detect", FIXTURE, "--family", "binomial",
+                            "--ladder", f"square:0,square:{radius}", "--out-dir", str(tmp_path / str(radius))],
+                           cwd=root, env=env, check=True, capture_output=True, timeout=60)
+        for name in ("stat.csv", "var.csv", "mask.csv", "mask.pgm"):
+            assert (tmp_path / "300" / name).read_bytes() == (tmp_path / "49" / name).read_bytes(), name
+
     def test_threshold_count_below_3_exits_2(self, tmp_path, capsys):
         assert run("detect", FIXTURE, "--family", "binomial",
                    "--threshold-count", "2", "--out-dir", tmp_path) == 2
@@ -289,6 +300,7 @@ class TestSimulate:
         ("disc_radius=80", "disc_radius"),
         ("family=poisson null_param=-1 alt_param=1", "null_param"),
         ("family=poisson null_param=0", "null_param"),
+        ("family=poisson alt_param=1e19", "alt_param"),  # past numpy's Poisson sampler
         ("family=normal null_param=0 alt_param=inf", "alt_param"),
         ("null_param=nan", "null_param"),
         ("family=normal sigma=inf", "sigma"),
@@ -338,10 +350,12 @@ class TestSimulate:
                   "poisson": "null_param = 4\nalt_param = 9\n",
                   "normal": "null_param = 0\nalt_param = 1\nsigma = 1\n"}
 
+    EXTREME = ("1e-300", "1e300")
+
     @given(family=st.sampled_from(sorted(FUZZ_RATES)),
            key=st.sampled_from(sorted(set(CONVERTERS) - {"dims", "replicates"})),
            value=st.one_of(st.integers(-50, 50).map(str), st.sampled_from(
-               ["nan", "inf", "-inf", "", "abc", "1,x", "x:1", "-", "1-"])))
+               ["nan", "inf", "-inf", "", "abc", "1,x", "x:1", "-", "1-", *EXTREME])))
     @settings(max_examples=60, deadline=None)
     def test_any_override_runs_or_exits_2_before_any_work(self, family, key, value):
         from mcd import simulate
@@ -363,7 +377,9 @@ class TestSimulate:
                            "methods = mcd\nscan_reps = 19\nscan_radii = 1-3\n")
             code = run("simulate", "--config", cfg, "--set", f"{key}={value}",
                        "--out-dir", Path(tmp) / "out")
-        assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        # an extreme finite value may also leave the float range: exit 3
+        assert code in ((0, 2, 3) if value in self.EXTREME else (0, 2)), err.getvalue()
+        assert "Traceback" not in err.getvalue(), err.getvalue()
         if code == 2:
             assert key in err.getvalue() and not calls, err.getvalue()
 
@@ -465,6 +481,20 @@ class TestScanFdr:
                    "--out-dir", tmp_path / "out") == 3
         assert "sigma estimate is 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "huge", "--family", "normal"),
+        ("scan", "huge", "--family", "normal", "--radii", "1-3", "--mc-reps", "19"),
+        ("detect", FIXTURE, "--family", "normal", "--sigma", "1e-300"),
+        ("theorems", "--delta", "1e200", "--reps", "2", "--dims", "20x20"),
+    ], ids=["detect-huge", "scan-huge", "detect-tiny-sigma", "theorems-huge-delta"])
+    def test_normal_overflow_exits_3(self, tmp_path, capsys, argv):
+        # finite input whose statistic or zone LLRs leave the float range
+        values = np.random.default_rng(0).normal(size=(20, 20)) * 1e160
+        huge = _write_text_grid(tmp_path / "huge.csv", "20,20", values, ".17g")
+        assert run(*[huge if a == "huge" else a for a in argv], "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "double precision" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", [("detect",), ("fdr", "--alpha", "0.1")])
     def test_zero_poisson_median_exits_3(self, tmp_path, capsys, command):
         counts = np.zeros((20, 20), dtype=int)
@@ -545,6 +575,8 @@ class TestTheorems:
         (("--radius", "0"), "disc radius must be positive, got 0.0"),
         (("--shape", "oval", "--radius", "3"), "a radius applies to shape 'disc' only, not 'oval'"),
         (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--delta", "nan"), "delta must be nonnegative and finite, got nan"),
+        (("--delta", "inf"), "delta must be nonnegative and finite, got inf"),
     ])
     def test_bad_flag_exits_2(self, tmp_path, capsys, argv, message):
         assert run("theorems", "--delta", "1", "--reps", "2", *argv,

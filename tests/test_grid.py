@@ -1,11 +1,14 @@
 """Windowed aggregation against brute-force offset enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcd.errors import InvalidInputError
+from mcd.config import parse_ladder
+from mcd.errors import ConfigurationError, InvalidInputError
 from mcd.grid import (
     Grid,
     ScaleLadder,
@@ -16,7 +19,7 @@ from mcd.grid import (
     window_sum_field,
 )
 from mcd.stats import ModelSpec, stat_field
-from oracles import gather_window_sum_field
+from oracles import annulus_offset_list, gather_window_sum_field, ladder_nested
 
 
 def brute_window_sum(values, center, window):
@@ -95,6 +98,40 @@ class TestScaleLadder:
         # but the offset sets are not nested
         with pytest.raises(InvalidInputError):
             ScaleLadder((WindowSpec("square", 0), WindowSpec("square", 3), WindowSpec("circle", 4)))
+
+    @given(first=st.sampled_from(("square", "circle")),
+           rest=st.lists(st.tuples(st.sampled_from(("square", "circle")), st.integers(1, 30)),
+                         max_size=3, unique_by=lambda w: w[1]),
+           rows=st.integers(1, 40), cols=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_geometry_matches_offset_sets(self, first, rest, rows, cols):
+        # nesting, annuli, clipped annuli and the fit verdict, all read from
+        # row half-widths, against set differences of every window offset
+        windows = [WindowSpec(first, 0)] + [WindowSpec(s, r) for s, r in sorted(rest, key=lambda w: w[1])]
+        if not ladder_nested(windows):
+            with pytest.raises(InvalidInputError, match="strictly nested"):
+                ScaleLadder(tuple(windows))
+            return
+        ladder = ScaleLadder(tuple(windows))
+        for r in range(ladder.scale_count):
+            assert ladder.annulus_offsets(r) == annulus_offset_list(windows, r)
+            assert ladder.annulus_offsets(r, (rows, cols)) == annulus_offset_list(windows, r, (rows, cols))
+        reach = (rows // 2 + 1, cols // 2 + 1)
+        if all(annulus_offset_list(windows, r, reach) for r in range(1, len(windows))):
+            ladder.check_fits((rows, cols))
+        else:
+            with pytest.raises(ConfigurationError, match=f"too wide for a {rows}x{cols} grid"):
+                ladder.check_fits((rows, cols))
+
+    def test_wide_ladder_costs_what_the_grid_holds(self):
+        # no set or full list of a 1201x1201 window's offsets is built
+        tracemalloc.start()
+        try:
+            parse_ladder("square:0,square:600").check_fits((50, 50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_annulus_offsets_partition_window(self):
         ladder = ScaleLadder.five_scale()
