@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError, InternalInvariantError
-from .grid import Grid, WindowSpec, build_sat, window_sum_field
+from .grid import Grid, WindowSpec, build_sat, exposure_sums, window_sum_field
 from .stats import ModelSpec, estimate_null
 
 
@@ -222,29 +222,27 @@ def _zone_llr_fields(model, values, zones, e_tot):
     their replicates) stay integer, so their zone sums are exact int64,
     while Normal grids sum in extended precision.
     """
-    sat = build_sat(Grid(values))
+    sat = build_sat(Grid(values))  # refuses an integer total past int64, so this sum is exact
     y_tot = float(values.sum())
     for window, e_in, allowed in zones:
-        y_in, _ = window_sum_field(sat, window)
+        y_in = window_sum_field(sat, window)
         yield np.where(allowed, _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot), 0.0)
 
 
-def scan_zones(exposure: Grid, radii) -> tuple[list, float]:
+def scan_zones(trials: Grid | None, shape: tuple[int, int], radii) -> tuple[list, float]:
     """The scan's zone table and the total exposure.
 
     The table holds (window, e_in, allowed) per radius: its circle, each
     centre's zone exposure and whether that zone stays within half the
-    total exposure. Exposure is the trials map for Binomial and one per
-    cell otherwise, so the table never depends on the data. Radii whose
-    zones all exceed the cap are refused.
+    total exposure. Exposure is the trials for Binomial and the cell count
+    otherwise, from `grid.exposure_sums`, so the table never depends on the
+    data. Radii whose zones all exceed the cap are refused.
     """
-    e_tot = float(exposure.values.sum())
-    sat = build_sat(exposure)
-    zones = []
-    for r in radii:
-        window = WindowSpec("circle", r)
-        e_in = window_sum_field(sat, window)[0].astype(np.float64)
-        zones.append((window, e_in, e_in <= 0.5 * e_tot))
+    windows = [WindowSpec("circle", r) for r in radii]
+    e_ins = [e.astype(np.float64) for e in exposure_sums(trials, shape, windows)]
+    # taken after the exposures, whose checks make this int64 sum exact
+    e_tot = float(shape[0] * shape[1] if trials is None else trials.values.sum())
+    zones = [(window, e_in, e_in <= 0.5 * e_tot) for window, e_in in zip(windows, e_ins)]
     if not any(allowed.any() for _, _, allowed in zones):
         raise ConfigurationError("every zone exceeds half the total exposure; reduce radii")
     return zones, e_tot
@@ -290,21 +288,23 @@ def circular_scan(
     rows, cols = grid.shape
     if model.family == "normal":
         model = replace(model, sigma=model.noise_sigma(grid))
-    exposure = model.trials or Grid(np.ones((rows, cols), dtype=np.int64))
-    zones, e_tot = scan_zones(exposure, radii)
+    zones, e_tot = scan_zones(model.trials, (rows, cols), radii)
     while not zones[-1][2].any():  # zone exposure grows with the radius: every wider one
         del zones[-1], radii[-1]  # is over the cap too, and its LLRs are all 0
+
+    # observed zone LLRs, kept per radius for the greedy cluster pass; `stack`
+    # holds them last zone first, so its argmax picks the last of equal maxima
+    stack = np.empty(len(zones) * rows * cols)
+    obs_llrs = stack[::-1].reshape(len(zones), rows, cols)
+    for k, llr in enumerate(_zone_llr_fields(model, grid.values, zones, e_tot)):
+        obs_llrs[k] = llr
+    if not np.isfinite(stack).all():  # finite input, so the float range ran out
+        raise DegenerateDataError("zone log-likelihood ratios overflow double precision: the "
+                                  "values are too large, or sigma too small, for this model")
+    # taken after the observed SAT, which refuses an integer total past int64
     y_tot = float(grid.values.sum())
     # the fitted null: one pooled rate (or mean) per unit of exposure
     null_mean = np.full((rows, cols), y_tot / e_tot)
-
-    # observed zone LLRs, kept per radius for the greedy cluster pass
-    obs_llrs = np.empty((len(zones), rows, cols))
-    for k, llr in enumerate(_zone_llr_fields(model, grid.values, zones, e_tot)):
-        obs_llrs[k] = llr
-    if not np.isfinite(obs_llrs).all():  # finite input, so the float range ran out
-        raise DegenerateDataError("zone log-likelihood ratios overflow double precision: the "
-                                  "values are too large, or sigma too small, for this model")
 
     # Monte Carlo distribution of the max LLR under the fitted null; each
     # replicate gets its own deterministic stream. The running maximum
@@ -318,17 +318,17 @@ def circular_scan(
 
     def dilate(cells, window):
         """Centres whose `window` holds a cell of `cells`."""
-        return window_sum_field(build_sat(Grid(cells)), window)[0] > 0
+        return window_sum_field(build_sat(Grid(cells)), window) > 0
 
     # greedy clusters: the open zone with the largest LLR, an exact tie going
     # to the last zone in (radius, row, col) order; a reported cluster closes
     # every zone that touches it, whose centres are its dilation by their circle
-    flat = obs_llrs.ravel()
     clusters: list[ScanCluster] = []
     detection = np.zeros((rows, cols), dtype=bool)
     while True:
-        at = flat.size - 1 - int(np.argmax(flat[::-1]))
-        llr = float(flat[at])
+        last = int(np.argmax(stack))
+        llr = float(stack[last])
+        at = stack.size - 1 - last
         if llr <= 0.0:
             break
         p = float((1 + (rep_max >= llr).sum()) / (mc_reps + 1))

@@ -226,7 +226,9 @@ def _cmd_scan(args) -> int:
     result = circular_scan(
         grid,
         model,
-        radii=parse_int_list(args.radii),
+        # a circle of radius rows + cols holds the whole grid, over the exposure cap,
+        # as does every wider one, so a range need not expand past it
+        radii=parse_int_list(args.radii, cap=grid.rows + grid.cols),
         mc_reps=args.mc_reps,
         cluster_alpha=args.cluster_alpha,
         seed=_resolve_seed(args.seed),

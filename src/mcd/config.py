@@ -55,15 +55,20 @@ def parse_ladder(text: str) -> ScaleLadder:
         raise ConfigurationError(str(exc)) from None
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; ``a-b`` expands to the inclusive range."""
+def parse_int_list(text: str, cap: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers; ``a-b`` expands to the inclusive range.
+
+    With a `cap`, a range stops at max(a, cap), so its length is bounded by
+    the cap rather than by b.
+    """
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         lo, sep, hi = part.partition("-")
         try:
             if sep and lo:  # leading '-' would be a negative number
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
+                out.extend(range(lo, (hi if cap is None else min(hi, max(lo, cap))) + 1))
             else:
                 out.append(int(part))
         except ValueError:

@@ -3,13 +3,15 @@
 Window sums are served from a summed-area table (SAT): any axis-aligned
 rectangle is four lookups. Circles are evaluated as a stack of per-row
 rectangle segments, so they are exact too. Windows overlapping the grid
-edge are clipped, and reported cardinalities reflect the clipping. For a
-whole field of windows, each window row is four plain slices of the SAT
-padded by the window radius (zeros above and left, the last row and
-column repeated below and right), so edge clipping needs no index arrays.
+edge are clipped. For a whole field of windows, each window row is four
+plain slices of the SAT padded by the window radius (zeros above and
+left, the last row and column repeated below and right), so edge
+clipping needs no index arrays. Exposure (clipped cell counts, or
+trials) has one home, `exposure_sums`.
 
-Integer grids accumulate in int64 (exact); real grids accumulate in
-extended precision so SAT queries do not drift relative to direct sums.
+Integer grids accumulate in int64, exact below an absolute total of 2**63
+(`check_integer_total` refuses more); real grids accumulate in extended
+precision so SAT queries do not drift relative to direct sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, DegenerateDataError, InvalidInputError
 
 
 def _as_grid_values(values) -> np.ndarray:
@@ -91,11 +93,6 @@ class WindowSpec:
             raise InvalidInputError(f"unknown window shape {self.shape!r}")
         if self.radius < 0 or int(self.radius) != self.radius:
             raise InvalidInputError(f"window radius must be a nonnegative integer, got {self.radius}")
-
-    def offsets(self) -> list[tuple[int, int]]:
-        """All (di, dj) offsets covered by the window, row-major order."""
-        return [(di, dj) for di, hw in self.row_halfwidths()
-                for dj in range(-hw, hw + 1)]
 
     def row_halfwidths(self) -> list[tuple[int, int]]:
         """Per-row (di, halfwidth) pairs; the window covers |dj| <= halfwidth in row di."""
@@ -202,6 +199,18 @@ def shifted_slices(shape: tuple[int, int], offsets):
     return pairs
 
 
+def check_integer_total(total: int) -> None:
+    """Refuse an integer total from 2**63 on, where the int64 sums that hold it wrap.
+
+    It checks each integer grid a summed-area table is built from (by its
+    absolute total) and a uniform trials map's trials times cells; the
+    scan's grid and exposure totals are taken after those checks.
+    """
+    if total >= 2**63:
+        raise DegenerateDataError(f"integer values total {float(total):.4g}, past 2**63, the "
+                                  "limit of exact int64 sums: the values are too large")
+
+
 @dataclass(frozen=True)
 class SummedAreaTable:
     """(rows+1) x (cols+1) prefix sums of a grid.
@@ -224,7 +233,10 @@ def build_sat(grid: Grid) -> SummedAreaTable:
     """
     v = grid.values
     if grid.is_integer():
-        acc = v.astype(np.int64)
+        magnitudes = np.abs(v).view(np.uint64)  # exact, -2**63 included
+        if magnitudes.sum(dtype=np.float64) >= 2.0**62:  # near the limit, so add exactly
+            check_integer_total(int(magnitudes.sum(dtype=object)))
+        acc = v
     else:
         acc = v.astype(np.longdouble)
     table = np.zeros((grid.rows + 1, grid.cols + 1), dtype=acc.dtype)
@@ -247,39 +259,52 @@ def _padded_table(table: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Window sums and clipped counts for every pixel at once.
+def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> np.ndarray:
+    """Window sums around every pixel at once: int64 for integer grids, float64 otherwise.
 
-    Returns (sums, counts), each of shape (rows, cols). Sums are int64 for
-    integer grids, float64 otherwise. Each window row that meets the grid is
-    four slices of the SAT padded by the radius, at most the longer grid side
-    (wider half-widths are clamped and read the same entries), combined as
-    t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the grid
-    reads 0); counts come from the clipped row and column extents.
+    Each window row that meets the grid is four slices of the SAT padded by the radius,
+    at most the longer grid side (wider half-widths are clamped and read the same
+    entries), combined as t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the
+    grid reads 0).
     """
     rows, cols = sat.rows, sat.cols
     pad = min(window.radius, max(rows, cols))
     t = _padded_table(sat.table, pad)
     sums = np.zeros((rows, cols), dtype=t.dtype)
     seg = np.empty_like(sums)
-    halfwidths = [(di, min(hw, pad)) for di, hw in window.row_halfwidths() if -rows < di < rows]
-    # window rows of one half-width share their clipped column widths, so
-    # counts is one small product: rows_per_hw[k, i] window rows of
-    # half-width hws[k] reach grid row i
-    hws = sorted({hw for _, hw in halfwidths})
-    rows_per_hw = np.zeros((len(hws), rows), dtype=np.int64)
-    for di, hw in halfwidths:
+    for di, hw in [(di, min(hw, pad)) for di, hw in window.row_halfwidths() if -rows < di < rows]:
         top, bottom = t[pad + di:pad + di + rows], t[pad + di + 1:pad + di + 1 + rows]
         c0, c1 = slice(pad - hw, pad - hw + cols), slice(pad + hw + 1, pad + hw + 1 + cols)
         np.subtract(bottom[:, c1], top[:, c1], out=seg)
         np.subtract(seg, bottom[:, c0], out=seg)
         np.add(seg, top[:, c0], out=seg)
         sums += seg
-        rows_per_hw[hws.index(hw), max(0, -di):min(rows, rows - di)] += 1
-    jj = np.arange(cols)
-    widths = [np.minimum(jj + hw, cols - 1) - np.maximum(jj - hw, 0) + 1 for hw in hws]
-    counts = rows_per_hw.T @ np.array(widths)
     if not sat.integer:
         sums = sums.astype(np.float64)
-    return sums, counts
+    return sums
 
+
+def exposure_sums(trials: Grid | None, shape: tuple[int, int], windows):
+    """Each window's exposure around every pixel, as int64, window by window.
+
+    That is the clipped cell count, c times it when every cell holds c trials, or
+    a varying trials map's window sums, the only case that builds a summed-area table.
+    """
+    rows, cols = shape
+    c = 1 if trials is None else int(trials.values.flat[0])
+    if trials is not None and np.any(trials.values != c):
+        sat = build_sat(trials)
+        yield from (window_sum_field(sat, window) for window in windows)
+        return
+    check_integer_total(c * rows * cols)
+    jj = np.arange(cols)
+    for window in windows:
+        # rows of one half-width share their clipped column widths, so this is one small product:
+        # rows_per_hw[k, i] is c times the number of window rows of half-width hws[k] reaching row i
+        halfwidths = [(di, hw) for di, hw in window.row_halfwidths() if -rows < di < rows]
+        hws = sorted({hw for _, hw in halfwidths})
+        rows_per_hw = np.zeros((len(hws), rows), dtype=np.int64)
+        for di, hw in halfwidths:
+            rows_per_hw[hws.index(hw), max(0, -di):min(rows, rows - di)] += c
+        widths = [np.minimum(jj + hw, cols - 1) - np.maximum(jj - hw, 0) + 1 for hw in hws]
+        yield rows_per_hw.T @ np.array(widths)

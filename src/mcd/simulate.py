@@ -99,9 +99,9 @@ class SimConfig:
             raise ConfigurationError(
                 f"cannot draw the truth mask from shape, dims and disc_radius: {exc}") from None
         if "scan" in self.methods:  # the zone table depends only on dims and the trials
-            exposure = Grid(np.full(self.dims, self.trials if self.family == "binomial" else 1))
+            trials = self.model().trials
             try:
-                scan_zones(exposure, radii)
+                scan_zones(trials, self.dims, radii)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"scan_radii: {exc}") from None
 

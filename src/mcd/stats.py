@@ -40,9 +40,9 @@ annulus of the unsigned gap idx - q - 1, in which cells at or below q
 wrap past every real gap and the sentinel's gap is the largest.
 
 T is built in one pass over the ladder: each scale's window sums come
-from summed-area tables, and only the previous scale's sums and the
-running total are kept, so memory is linear in the grid and does not
-depend on the number of scales.
+from a summed-area table, its exposure from `grid.exposure_sums`, and
+only the previous scale's sums and the running total are kept, so memory
+is linear in the grid and does not depend on the number of scales.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .grid import Grid, ScaleLadder, build_sat, validate_trials, window_sum_field
+from .grid import Grid, ScaleLadder, build_sat, exposure_sums, validate_trials, window_sum_field
 
 FAMILIES = ("binomial", "poisson", "normal")
 
@@ -283,16 +283,13 @@ def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
     model.check_counts(grid)
     null = estimate_null(grid, model)
     sigma = model.noise_sigma(grid) if model.family == "normal" else 1.0
-    binomial = model.family == "binomial"
     sat = build_sat(grid)
-    trials_sat = build_sat(model.trials) if binomial else None
-    medians = _annulus_medians(model.cell_values(grid), ladder) if binomial else None
+    medians = _annulus_medians(model.cell_values(grid), ladder) if model.family == "binomial" else None
     total = np.zeros(grid.shape)
     x_prev = e_prev = 0
-    for window in ladder.windows:
-        x, e = window_sum_field(sat, window)  # exposure e is the cell count,
-        if binomial:  # or the trials
-            e, _ = window_sum_field(trials_sat, window)
+    exposures = exposure_sums(model.trials, grid.shape, ladder.windows)
+    for window, e in zip(ladder.windows, exposures):  # e: the cell count, or the trials
+        x = window_sum_field(sat, window)
         dx, de = x.astype(np.float64) - x_prev, e.astype(np.float64) - e_prev
         if np.any(de == 0):
             raise InternalInvariantError("a ladder annulus clips to empty on this grid")

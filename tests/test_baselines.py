@@ -332,7 +332,7 @@ class TestCircularScan:
         # half the exposure; those radii score 0 everywhere and are dropped
         truth = gen_shape("disc", (45, 38), radius=7.0)
         grid = Grid(np.random.default_rng(31).poisson(np.where(truth, 9.0, 4.0)))
-        zones, _ = scan_zones(Grid(np.ones((45, 38), dtype=np.int64)), range(1, 201))
+        zones, _ = scan_zones(None, (45, 38), range(1, 201))
         last = max(window.radius for window, _, allowed in zones if allowed.any())
         assert last < 200
         wide, kept = (circular_scan(grid, ModelSpec("poisson"), radii=range(1, top + 1), mc_reps=19,
@@ -364,7 +364,6 @@ class TestCircularScan:
         # small values and rounded normals make exactly tied LLRs common
         rng = np.random.default_rng(seed)
         hot = rng.random(shape) < 0.15
-        exposure = np.ones(shape, dtype=int)
         if family == "binomial":
             exposure = rng.integers(1, 5, size=shape) if per_cell_trials else np.full(shape, 3)
             y = rng.binomial(exposure, np.where(hot, 0.8, 0.3))
@@ -377,7 +376,7 @@ class TestCircularScan:
             model = ModelSpec("normal", sigma=1.0)
         radii = sorted(radii)
         try:
-            zones, e_tot = scan_zones(Grid(exposure), radii)
+            zones, e_tot = scan_zones(model.trials, shape, radii)
         except ConfigurationError:
             return  # every zone over the cap; circular_scan refuses it too
         llrs = np.array(list(_zone_llr_fields(model, Grid(y).values, zones, e_tot)))
@@ -436,5 +435,5 @@ class TestCircularScan:
         from mcd.grid import build_sat, window_sum_field
 
         sat = build_sat(grid)
-        s1, _ = window_sum_field(sat, big)
+        s1 = window_sum_field(sat, big)
         assert s1.min() == s1.max()  # same zone -> same sum regardless of center

@@ -495,6 +495,37 @@ class TestScanFdr:
         err = capsys.readouterr().err
         assert "double precision" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, code", [
+        (("detect",), 3),
+        (("scan", "--radii", "1-3", "--mc-reps", "19"), 3),
+        (("fdr", "--alpha", "0.1"), 0),
+    ], ids=["detect", "scan", "fdr"])
+    def test_integer_total_past_int64_exits_3(self, tmp_path, capsys, command, code):
+        # 400 Poisson(1e17) counts total about 4e19, past 2**63, where int64 sums
+        # wrap; fdr takes no sums, so it still runs
+        path = tmp_path / "big.csv"
+        write_grid_csv(path, Grid(np.random.default_rng(0).poisson(1e17, size=(20, 20))))
+        assert run(command[0], path, "--family", "poisson", *command[1:],
+                   "--out-dir", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert ("past 2**63" in err) == (code == 3) and "Traceback" not in err
+
+    def test_radii_range_stops_at_the_grid(self, tmp_path):
+        # a circle of radius rows + cols = 100 holds the whole 50x50 grid, over the
+        # exposure cap, so the range stops there instead of expanding to 10**8 radii
+        outs = []
+        for radii in ("1-100", "1-100000000"):
+            out = tmp_path / radii
+            assert run("scan", FIXTURE, "--family", "binomial", "--radii", radii, "--mc-reps", "19",
+                       "--seed", "3", "--out-dir", out) == 0
+            outs.append(artifact_bytes(out))
+        assert outs[0] == outs[1]
+
+    def test_radius_over_the_cap_exits_2(self, tmp_path, capsys):
+        assert run("scan", FIXTURE, "--family", "binomial", "--radii", "500", "--mc-reps", "19",
+                   "--out-dir", tmp_path / "out") == 2
+        assert "every zone exceeds half the total exposure; reduce radii" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [("detect",), ("fdr", "--alpha", "0.1")])
     def test_zero_poisson_median_exits_3(self, tmp_path, capsys, command):
         counts = np.zeros((20, 20), dtype=int)

@@ -63,6 +63,12 @@ class TestTypedValues:
         with pytest.raises(ConfigurationError):
             parse_int_list("a-b")
 
+    def test_int_list_ranges_stop_at_the_cap(self):
+        assert parse_int_list("1-100000000", cap=5) == (1, 2, 3, 4, 5)
+        assert parse_int_list("2-4,7-9,100", cap=8) == (2, 3, 4, 7, 8, 100)
+        assert parse_int_list("200-300", cap=100) == (200,)  # a range keeps its start
+        assert parse_int_list("5-3", cap=100) == ()
+
     def test_min_belt_count_auto(self):
         assert typed_config({"min_belt_count": "auto"})["min_belt_count"] is None
         assert typed_config({"min_belt_count": "7"})["min_belt_count"] == 7

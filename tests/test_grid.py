@@ -4,22 +4,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcd import baselines, stats
+from mcd import grid as grid_module
+from mcd.baselines import scan_zones
 from mcd.config import parse_ladder
-from mcd.errors import ConfigurationError, InvalidInputError
+from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
 from mcd.grid import (
     Grid,
     ScaleLadder,
     SummedAreaTable,
     WindowSpec,
     build_sat,
+    exposure_sums,
     shifted_slices,
     window_sum_field,
 )
 from mcd.stats import ModelSpec, stat_field
-from oracles import annulus_offset_list, gather_window_sum_field, ladder_nested
+from oracles import annulus_offset_list, gather_window_sum_field, ladder_nested, window_offset_set
+
+
+def sums_and_counts(sat, window):
+    """The window sums, and the clipped counts from `exposure_sums` with no trials map."""
+    return window_sum_field(sat, window), next(exposure_sums(None, (sat.rows, sat.cols), [window]))
 
 
 def brute_window_sum(values, center, window):
@@ -28,7 +37,7 @@ def brute_window_sum(values, center, window):
     i, j = center
     total = 0
     count = 0
-    for di, dj in window.offsets():
+    for di, dj in sorted(window_offset_set(window)):
         r, c = i + di, j + dj
         if 0 <= r < rows and 0 <= c < cols:
             total += values[r, c]
@@ -37,8 +46,8 @@ def brute_window_sum(values, center, window):
 
 
 def field_window_sum(values, center, window):
-    """(sum, count) of one window, read off `window_sum_field`."""
-    sums, counts = window_sum_field(build_sat(Grid(values)), window)
+    """(sum, count) of one window, read off `window_sum_field` and `exposure_sums`."""
+    sums, counts = sums_and_counts(build_sat(Grid(values)), window)
     return sums[center], counts[center]
 
 
@@ -51,18 +60,18 @@ def sat_rect_sum(sat, r0, r1, c0, c1):
 class TestWindowSpec:
     def test_radius0_is_center_only(self):
         for shape in ("square", "circle"):
-            assert WindowSpec(shape, 0).offsets() == [(0, 0)]
+            assert window_offset_set(WindowSpec(shape, 0)) == {(0, 0)}
 
     def test_circle_radius1_is_cross(self):
-        got = set(WindowSpec("circle", 1).offsets())
+        got = window_offset_set(WindowSpec("circle", 1))
         assert got == {(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)}
 
     def test_circle_radius5_has_81_cells(self):
-        assert len(WindowSpec("circle", 5).offsets()) == 81
+        assert len(window_offset_set(WindowSpec("circle", 5))) == 81
 
     def test_square_cell_counts(self):
         for r in range(6):
-            assert len(WindowSpec("square", r).offsets()) == (2 * r + 1) ** 2
+            assert len(window_offset_set(WindowSpec("square", r))) == (2 * r + 1) ** 2
 
     def test_row_halfwidths_match_offsets(self):
         for shape in ("square", "circle"):
@@ -71,7 +80,7 @@ class TestWindowSpec:
                 from_rows = {
                     (di, dj) for di, hw in w.row_halfwidths() for dj in range(-hw, hw + 1)
                 }
-                assert from_rows == set(w.offsets())
+                assert from_rows == window_offset_set(w)
 
     def test_rejects_bad_shape_and_radius(self):
         with pytest.raises(InvalidInputError):
@@ -138,7 +147,7 @@ class TestScaleLadder:
         union = []
         for r in range(ladder.scale_count):
             union.extend(ladder.annulus_offsets(r))
-        assert sorted(union) == sorted(ladder.windows[-1].offsets())
+        assert sorted(union) == sorted(window_offset_set(ladder.windows[-1]))
         assert len(set(union)) == len(union)
 
 
@@ -172,7 +181,7 @@ class TestWindowSum:
         rng = np.random.default_rng(11)
         values = rng.integers(0, 50, size=(12, 9))
         w = WindowSpec(shape, radius)
-        sums, counts = window_sum_field(build_sat(Grid(values)), w)
+        sums, counts = sums_and_counts(build_sat(Grid(values)), w)
         for i in range(12):
             for j in range(9):
                 assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
@@ -181,12 +190,67 @@ class TestWindowSum:
         rng = np.random.default_rng(13)
         values = rng.normal(size=(10, 14)) * 1e3
         w = WindowSpec("circle", 4)
-        sums, counts = window_sum_field(build_sat(Grid(values)), w)
+        sums, counts = sums_and_counts(build_sat(Grid(values)), w)
         for i in range(10):
             for j in range(14):
                 want, wcount = brute_window_sum(values, (i, j), w)
                 assert counts[i, j] == wcount
                 assert sums[i, j] == pytest.approx(want, rel=1e-12)
+
+
+class TestExposureSums:
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           windows=st.lists(st.tuples(st.sampled_from(["square", "circle"]), st.integers(0, 16)),
+                            min_size=1, max_size=3),
+           trials=st.sampled_from(["none", "uniform", "per-cell"]),
+           seed=st.integers(0, 2**16))
+    @example(dims=(1, 9), windows=[("square", 0), ("circle", 3), ("square", 12)], trials="per-cell",
+             seed=1)
+    @example(dims=(9, 1), windows=[("circle", 0), ("square", 2), ("circle", 13)], trials="uniform",
+             seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_counts_times_trials_or_window_sums(self, dims, windows, trials, seed):
+        # radii reach past every grid side; the windows need not nest
+        rng = np.random.default_rng(seed)
+        windows = [WindowSpec(shape, radius) for shape, radius in windows]
+        c = int(rng.integers(1, 10**6))
+        trial_map = {"none": None, "uniform": Grid(np.full(dims, c)),
+                     "per-cell": Grid(rng.integers(1, 50, size=dims))}[trials]
+        got = list(exposure_sums(trial_map, dims, windows))
+        assert len(got) == len(windows)
+        ones = build_sat(Grid(np.ones(dims, dtype=np.int64)))
+        for window, e in zip(windows, got):
+            if trials == "per-cell":
+                want = gather_window_sum_field(build_sat(trial_map), window)[0]
+            else:
+                want = gather_window_sum_field(ones, window)[1] * (c if trials == "uniform" else 1)
+            assert e.dtype == np.int64 and e.shape == dims
+            np.testing.assert_array_equal(e, want)
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["uniform", "per-cell"])
+    def test_only_a_varying_trials_map_builds_a_sat(self, monkeypatch, per_cell):
+        rng = np.random.default_rng(3)
+        trials = Grid(rng.integers(20, 40, size=(12, 10)) if per_cell else np.full((12, 10), 30))
+        counts = Grid(rng.binomial(trials.values, 0.3))
+        built = []
+        real = grid_module.build_sat
+        for module in (grid_module, stats, baselines):
+            monkeypatch.setattr(module, "build_sat", lambda g: built.append(g) or real(g))
+        stat_field(counts, ModelSpec("binomial", trials=trials), ScaleLadder.five_scale())
+        assert [g is trials for g in built] == ([False, True] if per_cell else [False])
+        built.clear()
+        scan_zones(trials, (12, 10), [1, 2, 3])
+        assert [g is trials for g in built] == ([True] if per_cell else [])
+
+    def test_integer_totals_stop_below_2_63(self):
+        build_sat(Grid(np.array([[2**62, 2**62 - 1]])))  # totals 2**63 - 1
+        for values in ([[2**62, 2**62]], [[-2**62, -2**62]], [[-2**63]], [[-1, 2**63 - 1]]):
+            with pytest.raises(DegenerateDataError, match=r"past 2\*\*63"):
+                build_sat(Grid(np.array(values)))
+        window = [WindowSpec("square", 0)]
+        next(exposure_sums(Grid(np.full((1, 2), 2**62 - 1)), (1, 2), window))
+        with pytest.raises(DegenerateDataError, match=r"past 2\*\*63"):
+            next(exposure_sums(Grid(np.full((1, 2), 2**62)), (1, 2), window))
 
 
 class TestWindowSumField:
@@ -202,7 +266,7 @@ class TestWindowSumField:
         # radii from none to past every grid side
         for radius in (0, 1, 3, max(dims) - 1, max(dims), max(dims) + 4):
             for shape in ("square", "circle"):
-                got = window_sum_field(sat, WindowSpec(shape, radius))
+                got = sums_and_counts(sat, WindowSpec(shape, radius))
                 want = gather_window_sum_field(sat, WindowSpec(shape, radius))
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (shape, radius)
@@ -213,7 +277,7 @@ class TestWindowSumField:
         values = rng.integers(0, 30, size=(11, 13))
         sat = build_sat(Grid(values))
         w = WindowSpec(shape, radius)
-        sums, counts = window_sum_field(sat, w)
+        sums, counts = sums_and_counts(sat, w)
         for i in range(11):
             for j in range(13):
                 assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
@@ -222,7 +286,7 @@ class TestWindowSumField:
         rng = np.random.default_rng(19)
         values = rng.normal(loc=1e6, scale=1.0, size=(15, 15))
         sat = build_sat(Grid(values))
-        sums, counts = window_sum_field(sat, WindowSpec("square", 5))
+        sums, counts = sums_and_counts(sat, WindowSpec("square", 5))
         for i in range(15):
             for j in range(15):
                 want, wcount = brute_window_sum(values, (i, j), WindowSpec("square", 5))
@@ -233,7 +297,7 @@ class TestWindowSumField:
 def aggregate(grid, ladder):
     """(scales, rows, cols) stacks of window sums x and clipped counts m, one window at a time."""
     sat = build_sat(grid)
-    x, m = zip(*(window_sum_field(sat, w) for w in ladder.windows))
+    x, m = zip(*(sums_and_counts(sat, w) for w in ladder.windows))
     return np.stack(x), np.stack(m)
 
 

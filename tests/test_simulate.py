@@ -18,6 +18,7 @@ from mcd.simulate import (
 )
 from mcd.stats import ModelSpec, stat_field
 from mcd.threshold import neighborhood_variability
+from oracles import window_offset_set
 
 
 def small_config(**overrides):
@@ -259,7 +260,7 @@ def test_theorem_ladder_is_cross_shaped():
     # the theorem setting aggregates the pixel plus its 4-neighbors at the
     # second scale: x_2 for an interior pixel sums exactly 5 cells
     ladder = ScaleLadder((WindowSpec("square", 0), WindowSpec("circle", 1)))
-    assert len(ladder.windows[1].offsets()) == 5
+    assert len(window_offset_set(ladder.windows[1])) == 5
     values = np.zeros((5, 5))
     values[2, 2] = 1.0
     t = stat_field(Grid(values), ModelSpec("normal", sigma=1.0), ladder)

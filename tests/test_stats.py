@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
-from mcd.grid import Grid, ScaleLadder, WindowSpec, build_sat, window_sum_field
+from mcd.grid import Grid, ScaleLadder, build_sat, exposure_sums, window_sum_field
 from mcd.stats import (
     FAMILIES,
     ModelSpec,
@@ -193,7 +193,8 @@ class TestEstimateScales:
         model = ModelSpec("poisson")
         null = estimate_null(Grid(y), model)
         sat = build_sat(Grid(y))
-        x, m = map(np.stack, zip(*(window_sum_field(sat, w) for w in ladder.windows)))
+        x = np.stack([window_sum_field(sat, w) for w in ladder.windows])
+        m = np.stack(list(exposure_sums(None, y.shape, ladder.windows)))
         dx, dm = np.diff(x, axis=0, prepend=0), np.diff(m, axis=0, prepend=0)
         for pixel in [(0, 0), (5, 5), (9, 2)]:
             want_null, want = oracle_estimates(y, "poisson", ladder, pixel)
