@@ -8,6 +8,9 @@ Two alternatives to the multiscale detector, for benchmarking:
 * a circular scan statistic — the maximum likelihood-ratio over circles
   of varying center and radius, calibrated by Monte Carlo replication
   under the fitted null.
+
+The scan's zone sums, and the dilations that retire the zones a cluster
+touches, come from `grid.window_sums`, the one home for window sums.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError, InternalInvariantError
-from .grid import Grid, WindowSpec, build_sat, exposure_sums, window_sum_field
+from .grid import Grid, WindowSpec, exposure_sums, window_sums
 from .stats import ModelSpec, estimate_null
 
 
@@ -222,10 +225,8 @@ def _zone_llr_fields(model, values, zones, e_tot):
     their replicates) stay integer, so their zone sums are exact int64,
     while Normal grids sum in extended precision.
     """
-    sat = build_sat(Grid(values))  # refuses an integer total past int64, so this sum is exact
-    y_tot = float(values.sum())
-    for window, e_in, allowed in zones:
-        y_in = window_sum_field(sat, window)
+    y_tot = float(values.sum())  # used after the first zone sums, which refuse a total past int64
+    for (_, e_in, allowed), y_in in zip(zones, window_sums(values, [w for w, _, _ in zones])):
         yield np.where(allowed, _zone_llrs(model, y_in.astype(np.float64), e_in, y_tot, e_tot), 0.0)
 
 
@@ -318,7 +319,7 @@ def circular_scan(
 
     def dilate(cells, window):
         """Centres whose `window` holds a cell of `cells`."""
-        return window_sum_field(build_sat(Grid(cells)), window) > 0
+        return next(window_sums(cells, [window])) > 0
 
     # greedy clusters: the open zone with the largest LLR, an exact tie going
     # to the last zone in (radius, row, col) order; a reported cluster closes

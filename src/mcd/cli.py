@@ -33,7 +33,7 @@ from .errors import (
     InvalidInputError,
     UndefinedMetricError,
 )
-from .grid import Grid, validate_trials
+from .grid import Grid
 from .gridio import (
     read_grid_csv,
     write_array_csv,
@@ -111,10 +111,8 @@ def _load_input(args) -> tuple[Grid, ModelSpec]:
                 "--trials N, or --trials-file PATH"
             )
         trials = Grid(np.full(grid.shape, trials_uniform, dtype=np.int64))
-    model = ModelSpec(args.family, trials=trials, sigma=args.sigma)
-    if trials is not None:
-        validate_trials(grid, trials)
-    return grid, model
+    # each command's `ModelSpec.check_counts` checks the counts against the trials
+    return grid, ModelSpec(args.family, trials=trials, sigma=args.sigma)
 
 
 def _check_out_dir(path: str) -> None:

@@ -76,6 +76,12 @@ def parse_int_list(text: str, cap: int | None = None) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _radius_text(text: str) -> str:
+    """Scan radii, checked now and expanded by `sim_configs`, once `dims` bounds their ranges."""
+    parse_int_list(text, cap=0)  # each range stops at its start, so a check costs its text
+    return text
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
@@ -109,7 +115,7 @@ CONVERTERS: dict[str, Callable[[str], object]] = {
     "min_belt_count": _maybe_auto,
     "fdr_alpha": float,
     "fdr_lambda": float,
-    "scan_radii": parse_int_list,
+    "scan_radii": _radius_text,
     "scan_reps": int,
     "cluster_alpha": float,
     "disc_radius": float,
@@ -177,6 +183,9 @@ def sim_configs(values: dict[str, object]) -> list[tuple[str, SimConfig]]:
     same labelling for a uniform report shape.
     """
     values = dict(values)
+    if "scan_radii" in values:  # a circle of radius rows + cols holds the grid, as does any wider
+        cap = sum(values.get("dims", SimConfig.dims))
+        values["scan_radii"] = parse_int_list(values["scan_radii"], cap=cap)
     alts = values.pop("alt_params", None)
     if alts is not None:
         if "alt_param" in values:

@@ -1,13 +1,11 @@
 """Grid containers, window geometry, and exact windowed aggregation.
 
-Window sums are served from a summed-area table (SAT): any axis-aligned
-rectangle is four lookups. Circles are evaluated as a stack of per-row
-rectangle segments, so they are exact too. Windows overlapping the grid
-edge are clipped. For a whole field of windows, each window row is four
-plain slices of the SAT padded by the window radius (zeros above and
-left, the last row and column repeated below and right), so edge
-clipping needs no index arrays. Exposure (clipped cell counts, or
-trials) has one home, `exposure_sums`.
+Window sums have one home, `window_sums`, which serves every window of
+a list from one summed-area table (SAT): any axis-aligned rectangle is
+four lookups. Circles are evaluated as a stack of per-row rectangle
+segments, so they are exact too. Windows overlapping the grid edge are
+clipped, and only window rows that reach the grid are listed. Exposure
+(clipped cell counts, or trials) has one home, `exposure_sums`.
 
 Integer grids accumulate in int64, exact below an absolute total of 2**63
 (`check_integer_total` refuses more); real grids accumulate in extended
@@ -94,12 +92,13 @@ class WindowSpec:
         if self.radius < 0 or int(self.radius) != self.radius:
             raise InvalidInputError(f"window radius must be a nonnegative integer, got {self.radius}")
 
-    def row_halfwidths(self) -> list[tuple[int, int]]:
-        """Per-row (di, halfwidth) pairs; the window covers |dj| <= halfwidth in row di."""
+    def row_halfwidths(self, reach=math.inf) -> list[tuple[int, int]]:
+        """(di, halfwidth) of the rows with |di| < reach; row di covers |dj| <= halfwidth."""
         r = self.radius
+        di_range = range(-min(r, reach - 1), min(r, reach - 1) + 1)
         if self.shape == "square":
-            return [(di, r) for di in range(-r, r + 1)]
-        return [(di, math.isqrt(r * r - di * di)) for di in range(-r, r + 1)]
+            return [(di, r) for di in di_range]
+        return [(di, math.isqrt(r * r - di * di)) for di in di_range]
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ class ScaleLadder:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidInputError(f"ladder radii must be strictly increasing, got {radii}")
         for inner, w in zip(windows, windows[1:]):  # wider, so containment is strict
-            outer = dict(w.row_halfwidths())
+            outer = dict(w.row_halfwidths(inner.radius + 1))
             if any(hw > outer[di] for di, hw in inner.row_halfwidths()):
                 raise InvalidInputError(f"ladder windows must be strictly nested; "
                                         f"{w} does not contain its predecessor")
@@ -171,8 +170,8 @@ class ScaleLadder:
         With `shape` = (rows, cols), only offsets with |di| < rows and |dj| < cols are kept.
         """
         rows, cols = shape or (math.inf, math.inf)
-        inner = dict(self.windows[r - 1].row_halfwidths()) if r else {}
-        return [(di, dj) for di, hw in self.windows[r].row_halfwidths() if abs(di) < rows
+        inner = dict(self.windows[r - 1].row_halfwidths(rows)) if r else {}
+        return [(di, dj) for di, hw in self.windows[r].row_halfwidths(rows)
                 for dj in range(-min(hw, cols - 1), min(hw, cols - 1) + 1)
                 if abs(dj) > inner.get(di, -1)]
 
@@ -211,77 +210,46 @@ def check_integer_total(total: int) -> None:
                                   "limit of exact int64 sums: the values are too large")
 
 
-@dataclass(frozen=True)
-class SummedAreaTable:
-    """(rows+1) x (cols+1) prefix sums of a grid.
+def window_sums(values, windows):
+    """Each window's sums around every pixel, in order: int64 for integers, float64 otherwise.
 
-    table[i, j] = sum of values[:i, :j]; rectangle sums are four lookups.
+    The SAT is built once, padded by the widest radius, at most the longer grid
+    side (wider half-widths are clamped and read the same entries): zeros above
+    and left, the last row and column repeated below and right, so each window
+    row is four slices, t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0], with
+    no index arrays. Between yields only the table and the last field are held.
     """
-
-    table: np.ndarray
-    rows: int
-    cols: int
-    integer: bool
-
-
-def build_sat(grid: Grid) -> SummedAreaTable:
-    """Build the prefix-sum table for a grid.
-
-    Integer grids use int64 (exact); real grids accumulate in extended
-    precision so queries agree with direct summation well below 1e-9
-    relative error.
-    """
-    v = grid.values
-    if grid.is_integer():
-        magnitudes = np.abs(v).view(np.uint64)  # exact, -2**63 included
+    values = np.asarray(values)
+    rows, cols = values.shape
+    integer = values.dtype.kind in "biu"
+    if integer:
+        magnitudes = np.abs(values.astype(np.int64, copy=False)).view(np.uint64)  # -2**63 too
         if magnitudes.sum(dtype=np.float64) >= 2.0**62:  # near the limit, so add exactly
             check_integer_total(int(magnitudes.sum(dtype=object)))
-        acc = v
-    else:
-        acc = v.astype(np.longdouble)
-    table = np.zeros((grid.rows + 1, grid.cols + 1), dtype=acc.dtype)
-    table[1:, 1:] = np.cumsum(np.cumsum(acc, axis=0), axis=1)
-    return SummedAreaTable(table=table, rows=grid.rows, cols=grid.cols, integer=grid.is_integer())
-
-
-def _padded_table(table: np.ndarray, pad: int) -> np.ndarray:
-    """The SAT with `pad` extra rows and columns on every side.
-
-    Rows above and columns left of the table read 0; rows below and
-    columns right repeat the last row and column. A lookup that the
-    window clips at an edge then reads the same entry as the clipped one.
-    """
-    rows1, cols1 = table.shape
-    out = np.zeros((rows1 + 2 * pad, cols1 + 2 * pad), dtype=table.dtype)
-    out[pad:pad + rows1, pad:pad + cols1] = table
-    out[pad + rows1:, pad:pad + cols1] = table[-1]
-    out[:, pad + cols1:] = out[:, pad + cols1 - 1:pad + cols1]
-    return out
-
-
-def window_sum_field(sat: SummedAreaTable, window: WindowSpec) -> np.ndarray:
-    """Window sums around every pixel at once: int64 for integer grids, float64 otherwise.
-
-    Each window row that meets the grid is four slices of the SAT padded by the radius,
-    at most the longer grid side (wider half-widths are clamped and read the same
-    entries), combined as t[r+1, c1+1] - t[r, c1+1] - t[r+1, c0] + t[r, c0] (a row off the
-    grid reads 0).
-    """
-    rows, cols = sat.rows, sat.cols
-    pad = min(window.radius, max(rows, cols))
-    t = _padded_table(sat.table, pad)
-    sums = np.zeros((rows, cols), dtype=t.dtype)
-    seg = np.empty_like(sums)
-    for di, hw in [(di, min(hw, pad)) for di, hw in window.row_halfwidths() if -rows < di < rows]:
-        top, bottom = t[pad + di:pad + di + rows], t[pad + di + 1:pad + di + 1 + rows]
-        c0, c1 = slice(pad - hw, pad - hw + cols), slice(pad + hw + 1, pad + hw + 1 + cols)
-        np.subtract(bottom[:, c1], top[:, c1], out=seg)
-        np.subtract(seg, bottom[:, c0], out=seg)
-        np.add(seg, top[:, c0], out=seg)
-        sums += seg
-    if not sat.integer:
-        sums = sums.astype(np.float64)
-    return sums
+        del magnitudes
+    pad = min(max((w.radius for w in windows), default=0), max(rows, cols))
+    t = np.zeros((rows + 1 + 2 * pad, cols + 1 + 2 * pad), np.int64 if integer else np.longdouble)
+    table = t[pad + 1:pad + 1 + rows, pad + 1:pad + 1 + cols]
+    table[...] = values
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    t[pad + 1 + rows:, pad + 1:pad + 1 + cols] = table[-1]
+    t[:, pad + 1 + cols:] = t[:, pad + cols:pad + 1 + cols]
+    for window in windows:
+        sums = np.zeros((rows, cols), dtype=t.dtype)
+        seg = np.empty_like(sums)
+        for di, hw in window.row_halfwidths(rows):
+            hw = min(hw, pad)
+            top, bottom = t[pad + di:pad + di + rows], t[pad + di + 1:pad + di + 1 + rows]
+            c0, c1 = slice(pad - hw, pad - hw + cols), slice(pad + hw + 1, pad + hw + 1 + cols)
+            np.subtract(bottom[:, c1], top[:, c1], out=seg)
+            np.subtract(seg, bottom[:, c0], out=seg)
+            np.add(seg, top[:, c0], out=seg)
+            sums += seg
+        del seg
+        if not integer:
+            sums = sums.astype(np.float64)  # the longdouble sums are freed before the yield
+        yield sums
 
 
 def exposure_sums(trials: Grid | None, shape: tuple[int, int], windows):
@@ -293,15 +261,14 @@ def exposure_sums(trials: Grid | None, shape: tuple[int, int], windows):
     rows, cols = shape
     c = 1 if trials is None else int(trials.values.flat[0])
     if trials is not None and np.any(trials.values != c):
-        sat = build_sat(trials)
-        yield from (window_sum_field(sat, window) for window in windows)
+        yield from window_sums(trials.values, windows)
         return
     check_integer_total(c * rows * cols)
     jj = np.arange(cols)
     for window in windows:
         # rows of one half-width share their clipped column widths, so this is one small product:
         # rows_per_hw[k, i] is c times the number of window rows of half-width hws[k] reaching row i
-        halfwidths = [(di, hw) for di, hw in window.row_halfwidths() if -rows < di < rows]
+        halfwidths = window.row_halfwidths(rows)
         hws = sorted({hw for _, hw in halfwidths})
         rows_per_hw = np.zeros((len(hws), rows), dtype=np.int64)
         for di, hw in halfwidths:

@@ -40,7 +40,7 @@ annulus of the unsigned gap idx - q - 1, in which cells at or below q
 wrap past every real gap and the sentinel's gap is the largest.
 
 T is built in one pass over the ladder: each scale's window sums come
-from a summed-area table, its exposure from `grid.exposure_sums`, and
+from `grid.window_sums`, its exposure from `grid.exposure_sums`, and
 only the previous scale's sums and the running total are kept, so memory
 is linear in the grid and does not depend on the number of scales.
 """
@@ -57,7 +57,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .grid import Grid, ScaleLadder, build_sat, exposure_sums, validate_trials, window_sum_field
+from .grid import Grid, ScaleLadder, exposure_sums, validate_trials, window_sums
 
 FAMILIES = ("binomial", "poisson", "normal")
 
@@ -283,13 +283,11 @@ def stat_field(grid: Grid, model: ModelSpec, ladder: ScaleLadder) -> StatField:
     model.check_counts(grid)
     null = estimate_null(grid, model)
     sigma = model.noise_sigma(grid) if model.family == "normal" else 1.0
-    sat = build_sat(grid)
     medians = _annulus_medians(model.cell_values(grid), ladder) if model.family == "binomial" else None
     total = np.zeros(grid.shape)
     x_prev = e_prev = 0
     exposures = exposure_sums(model.trials, grid.shape, ladder.windows)
-    for window, e in zip(ladder.windows, exposures):  # e: the cell count, or the trials
-        x = window_sum_field(sat, window)
+    for x, e in zip(window_sums(grid.values, ladder.windows), exposures):  # e: counts or trials
         dx, de = x.astype(np.float64) - x_prev, e.astype(np.float64) - e_prev
         if np.any(de == 0):
             raise InternalInvariantError("a ladder annulus clips to empty on this grid")

@@ -50,15 +50,19 @@ def annulus_offset_list(windows, r, shape=None):
                   if abs(di) < rows and abs(dj) < cols)
 
 
-def gather_window_sum_field(sat, window):
-    """Window sums and counts by clipped fancy-index gathers on the unpadded SAT.
+def gather_window_sum_field(values, window):
+    """Window sums and counts by clipped fancy-index gathers on an unpadded SAT of `values`.
 
-    The four-term arithmetic and the order of the additions are those of
-    `mcd.grid.window_sum_field`, so both give the same bits, longdouble
-    sums included.
+    The table is built here, int64 for integers and longdouble otherwise,
+    and the four-term arithmetic and the order of the additions are those
+    of `mcd.grid.window_sums`, so both give the same bits, longdouble sums
+    included.
     """
-    rows, cols = sat.rows, sat.cols
-    t = sat.table
+    values = np.asarray(values)
+    rows, cols = values.shape
+    integer = values.dtype.kind in "biu"
+    t = np.zeros((rows + 1, cols + 1), dtype=np.int64 if integer else np.longdouble)
+    t[1:, 1:] = np.cumsum(np.cumsum(values.astype(t.dtype), axis=0), axis=1)
     ii = np.arange(rows)[:, None]
     jj = np.arange(cols)[None, :]
     sums = np.zeros((rows, cols), dtype=t.dtype)
@@ -72,7 +76,7 @@ def gather_window_sum_field(sat, window):
         seg = t[r + 1, c1 + 1] - t[r, c1 + 1] - t[r + 1, c0] + t[r, c0]
         sums += np.where(valid, seg, 0)
         counts += np.where(valid, c1 - c0 + 1, 0)
-    if not sat.integer:
+    if not integer:
         sums = sums.astype(np.float64)
     return sums, counts
 

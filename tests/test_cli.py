@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -152,6 +153,35 @@ class TestDetect:
         for name in ("stat.csv", "var.csv", "mask.csv", "mask.pgm"):
             assert (tmp_path / "300" / name).read_bytes() == (tmp_path / "49" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("argv, code", [
+        (("detect", "--ladder", "square:0,square:100000000"), 0),
+        (("scan", "--radii", "100000000", "--mc-reps", "19"), 2),
+    ], ids=["detect", "scan"])
+    def test_radius_of_1e8_costs_what_the_grid_holds(self, tmp_path, argv, code):
+        # only window rows that reach the 50x50 grid are listed; listing all
+        # 2 * 10**8 + 1 rows would need tens of GB, far past this 1 GB limit
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "wide"
+        proc = subprocess.run([sys.executable, "-m", "mcd.cli", argv[0], FIXTURE, "--family", "binomial",
+                               *argv[1:], "--out-dir", str(out)], cwd=root, env=env,
+                              preexec_fn=limit_memory, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if argv[0] == "scan":  # every zone is over the exposure cap, as at any radius past 100
+            assert "every zone exceeds half the total exposure; reduce radii" in proc.stderr
+            return
+        # the same files as a square that just covers the grid, except the ladder's name
+        assert run("detect", FIXTURE, "--family", "binomial", "--ladder", "square:0,square:49",
+                   "--out-dir", tmp_path / "49") == 0
+        for name in ("stat.csv", "var.csv", "mask.csv", "mask.pgm"):
+            assert (out / name).read_bytes() == (tmp_path / "49" / name).read_bytes(), name
+        assert ((out / "detection.txt").read_text().replace("100000000", "49")
+                == (tmp_path / "49" / "detection.txt").read_text())
+
     def test_threshold_count_below_3_exits_2(self, tmp_path, capsys):
         assert run("detect", FIXTURE, "--family", "binomial",
                    "--threshold-count", "2", "--out-dir", tmp_path) == 2
@@ -232,6 +262,26 @@ class TestSimulate:
         path = tmp_path / "sim.cfg"
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    def test_scan_radii_range_stops_at_the_grid(self, tmp_path):
+        # a circle of radius rows + cols = 40 holds the whole 20x20 grid, over the
+        # exposure cap, so the range stops there instead of expanding to 10**8 radii
+        # (about 9 GB of integers, far past this run's 1 GB limit)
+        root = Path(__file__).resolve().parents[1]
+        cfg = self.config(tmp_path, scan_reps=19)
+        argv = ["simulate", "--config", str(cfg), "--set", "methods=mcd,scan", "--set", "dims=20x20",
+                "--set", "disc_radius=4"]
+        assert run(*argv, "--set", "scan_radii=1-40", "--out-dir", tmp_path / "40") == 0
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run([sys.executable, "-m", "mcd.cli", *argv, "--set", "scan_radii=1-100000000",
+                               "--out-dir", str(tmp_path / "wide")],
+                              cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              preexec_fn=limit_memory, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert artifact_bytes(tmp_path / "wide") == artifact_bytes(tmp_path / "40")
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -572,6 +622,39 @@ class TestScanFdr:
         assert run(command[0], path, "--family", family, flag, value, *command[1:],
                    "--out-dir", tmp_path / "out") == 2
         assert "forbidden otherwise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # (count set at cell (3, 3), trials flag, message); a trials file is (shape, value)
+    BAD_BINOMIAL = {
+        "counts-above-trials": (31, ("--trials", "30"), "counts exceed trials"),
+        "negative-count": (-1, ("--trials", "30"), "count grid must hold nonnegative integers"),
+        "trials-shape": (None, ("--trials-file", (20, 21), 30),
+                         "trials shape (20, 21) != grid shape (20, 20)"),
+        "zero-trials": (None, ("--trials-file", (20, 20), 0), "trials must be integers >= 1"),
+        "non-integer-trials": (None, ("--trials-file", (20, 20), 30.5), "trials must be integers >= 1"),
+    }
+
+    @pytest.mark.parametrize("command", [
+        ("detect",),
+        ("fdr", "--alpha", "0.1"),
+        ("scan", "--radii", "1-3", "--mc-reps", "19"),
+    ], ids=["detect", "fdr", "scan"])
+    @pytest.mark.parametrize("case", sorted(BAD_BINOMIAL))
+    def test_binomial_counts_the_trials_cannot_hold_exit_3(self, tmp_path, capsys, command, case):
+        cell, flag, cause = self.BAD_BINOMIAL[case]
+        counts = np.random.default_rng(5).binomial(30, 0.2, size=(20, 20))
+        if cell is not None:
+            counts[3, 3] = cell
+        path = tmp_path / "counts.csv"
+        write_grid_csv(path, Grid(counts))
+        if flag[0] == "--trials-file":
+            trials = tmp_path / "trials.csv"
+            write_grid_csv(trials, Grid(np.full(flag[1], flag[2])))
+            flag = ("--trials-file", trials)
+        assert run(command[0], path, "--family", "binomial", *flag, *command[1:],
+                   "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_header_trials_ignored_unless_binomial(self, tmp_path):

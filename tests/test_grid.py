@@ -15,20 +15,18 @@ from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputErro
 from mcd.grid import (
     Grid,
     ScaleLadder,
-    SummedAreaTable,
     WindowSpec,
-    build_sat,
     exposure_sums,
     shifted_slices,
-    window_sum_field,
+    window_sums,
 )
 from mcd.stats import ModelSpec, stat_field
 from oracles import annulus_offset_list, gather_window_sum_field, ladder_nested, window_offset_set
 
 
-def sums_and_counts(sat, window):
+def sums_and_counts(values, window):
     """The window sums, and the clipped counts from `exposure_sums` with no trials map."""
-    return window_sum_field(sat, window), next(exposure_sums(None, (sat.rows, sat.cols), [window]))
+    return next(window_sums(values, [window])), next(exposure_sums(None, values.shape, [window]))
 
 
 def brute_window_sum(values, center, window):
@@ -46,15 +44,9 @@ def brute_window_sum(values, center, window):
 
 
 def field_window_sum(values, center, window):
-    """(sum, count) of one window, read off `window_sum_field` and `exposure_sums`."""
-    sums, counts = sums_and_counts(build_sat(Grid(values)), window)
+    """(sum, count) of one window, read off `window_sums` and `exposure_sums`."""
+    sums, counts = sums_and_counts(values, window)
     return sums[center], counts[center]
-
-
-def sat_rect_sum(sat, r0, r1, c0, c1):
-    """Sum over cells r0..r1 x c0..c1 inclusive: the four-lookup SAT identity."""
-    t = sat.table
-    return t[r1 + 1, c1 + 1] - t[r0, c1 + 1] - t[r1 + 1, c0] + t[r0, c0]
 
 
 class TestWindowSpec:
@@ -81,6 +73,9 @@ class TestWindowSpec:
                     (di, dj) for di, hw in w.row_halfwidths() for dj in range(-hw, hw + 1)
                 }
                 assert from_rows == window_offset_set(w)
+                for reach in (0, 1, 2, 5, 9):  # only the rows with |di| < reach, in order
+                    assert w.row_halfwidths(reach) == [
+                        (di, hw) for di, hw in w.row_halfwidths() if abs(di) < reach]
 
     def test_rejects_bad_shape_and_radius(self):
         with pytest.raises(InvalidInputError):
@@ -167,21 +162,22 @@ class TestWindowSum:
         assert total == 36 and count == 36
 
     def test_random_rectangles_exact(self):
+        # a square window is the rectangle it clips to at every centre
         rng = np.random.default_rng(7)
         values = rng.integers(0, 1000, size=(20, 20))
-        sat = build_sat(Grid(values))
-        for r0 in range(20):
-            for r1 in range(r0, 20):
-                for c0 in range(0, 20, 3):
-                    for c1 in range(c0, 20, 3):
-                        assert sat_rect_sum(sat, r0, r1, c0, c1) == values[r0 : r1 + 1, c0 : c1 + 1].sum()
+        radii = range(0, 22, 3)
+        for r, sums in zip(radii, window_sums(values, [WindowSpec("square", r) for r in radii])):
+            for i in range(20):
+                for j in range(0, 20, 3):
+                    rect = values[max(0, i - r):i + r + 1, max(0, j - r):j + r + 1]
+                    assert sums[i, j] == rect.sum()
 
     @pytest.mark.parametrize("shape,radius", [("square", 2), ("circle", 3), ("circle", 5)])
     def test_matches_brute_force_int(self, shape, radius):
         rng = np.random.default_rng(11)
         values = rng.integers(0, 50, size=(12, 9))
         w = WindowSpec(shape, radius)
-        sums, counts = sums_and_counts(build_sat(Grid(values)), w)
+        sums, counts = sums_and_counts(values, w)
         for i in range(12):
             for j in range(9):
                 assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
@@ -190,7 +186,7 @@ class TestWindowSum:
         rng = np.random.default_rng(13)
         values = rng.normal(size=(10, 14)) * 1e3
         w = WindowSpec("circle", 4)
-        sums, counts = sums_and_counts(build_sat(Grid(values)), w)
+        sums, counts = sums_and_counts(values, w)
         for i in range(10):
             for j in range(14):
                 want, wcount = brute_window_sum(values, (i, j), w)
@@ -218,10 +214,10 @@ class TestExposureSums:
                      "per-cell": Grid(rng.integers(1, 50, size=dims))}[trials]
         got = list(exposure_sums(trial_map, dims, windows))
         assert len(got) == len(windows)
-        ones = build_sat(Grid(np.ones(dims, dtype=np.int64)))
+        ones = np.ones(dims, dtype=np.int64)
         for window, e in zip(windows, got):
             if trials == "per-cell":
-                want = gather_window_sum_field(build_sat(trial_map), window)[0]
+                want = gather_window_sum_field(trial_map.values, window)[0]
             else:
                 want = gather_window_sum_field(ones, window)[1] * (c if trials == "uniform" else 1)
             assert e.dtype == np.int64 and e.shape == dims
@@ -229,31 +225,34 @@ class TestExposureSums:
 
     @pytest.mark.parametrize("per_cell", [False, True], ids=["uniform", "per-cell"])
     def test_only_a_varying_trials_map_builds_a_sat(self, monkeypatch, per_cell):
+        # each `window_sums` call builds one table, for all of its windows
         rng = np.random.default_rng(3)
         trials = Grid(rng.integers(20, 40, size=(12, 10)) if per_cell else np.full((12, 10), 30))
         counts = Grid(rng.binomial(trials.values, 0.3))
         built = []
-        real = grid_module.build_sat
+        real = grid_module.window_sums
         for module in (grid_module, stats, baselines):
-            monkeypatch.setattr(module, "build_sat", lambda g: built.append(g) or real(g))
+            monkeypatch.setattr(module, "window_sums", lambda v, ws: built.append(v) or real(v, ws))
         stat_field(counts, ModelSpec("binomial", trials=trials), ScaleLadder.five_scale())
-        assert [g is trials for g in built] == ([False, True] if per_cell else [False])
+        assert [v is trials.values for v in built] == ([False, True] if per_cell else [False])
         built.clear()
         scan_zones(trials, (12, 10), [1, 2, 3])
-        assert [g is trials for g in built] == ([True] if per_cell else [])
+        assert [v is trials.values for v in built] == ([True] if per_cell else [])
 
     def test_integer_totals_stop_below_2_63(self):
-        build_sat(Grid(np.array([[2**62, 2**62 - 1]])))  # totals 2**63 - 1
+        window = [WindowSpec("square", 0)]
+        next(window_sums(np.array([[2**62, 2**62 - 1]]), window))  # totals 2**63 - 1
         for values in ([[2**62, 2**62]], [[-2**62, -2**62]], [[-2**63]], [[-1, 2**63 - 1]]):
             with pytest.raises(DegenerateDataError, match=r"past 2\*\*63"):
-                build_sat(Grid(np.array(values)))
-        window = [WindowSpec("square", 0)]
+                next(window_sums(np.array(values), window))
         next(exposure_sums(Grid(np.full((1, 2), 2**62 - 1)), (1, 2), window))
         with pytest.raises(DegenerateDataError, match=r"past 2\*\*63"):
             next(exposure_sums(Grid(np.full((1, 2), 2**62)), (1, 2), window))
 
 
 class TestWindowSumField:
+    """Fields of window sums from `window_sums`, against gathers and brute force."""
+
     @pytest.mark.parametrize("dims", [(17, 23), (1, 9), (9, 1), (1, 1), (4, 6)])
     @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
     def test_bit_identical_to_gathers(self, dims, real):
@@ -262,22 +261,36 @@ class TestWindowSumField:
             values = rng.normal(loc=1e3, scale=7.0, size=dims) * rng.choice([1.0, 1e-6, 1e6], size=dims)
         else:
             values = rng.integers(-10**12, 10**12, size=dims)
-        sat = build_sat(Grid(values))
         # radii from none to past every grid side
         for radius in (0, 1, 3, max(dims) - 1, max(dims), max(dims) + 4):
             for shape in ("square", "circle"):
-                got = sums_and_counts(sat, WindowSpec(shape, radius))
-                want = gather_window_sum_field(sat, WindowSpec(shape, radius))
+                got = sums_and_counts(values, WindowSpec(shape, radius))
+                want = gather_window_sum_field(values, WindowSpec(shape, radius))
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (shape, radius)
+
+    @pytest.mark.parametrize("dims", [(17, 23), (1, 9), (9, 1), (4, 6)])
+    @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
+    def test_one_table_serves_windows_in_any_order(self, dims, real):
+        # wide, narrow and past the grid, squares and circles: one table padded
+        # by the widest radius gives each window the bits of its own gathers
+        rng = np.random.default_rng(dims[0] * 31 + dims[1])
+        values = rng.normal(size=dims) * 1e6 if real else rng.integers(-10**12, 10**12, size=dims)
+        side = max(dims)
+        windows = [WindowSpec("circle", side + 7), WindowSpec("square", 1), WindowSpec("circle", 0),
+                   WindowSpec("square", side), WindowSpec("circle", 3), WindowSpec("square", 0)]
+        got = list(window_sums(values, windows))
+        assert len(got) == len(windows)
+        for window, g in zip(windows, got):
+            w = gather_window_sum_field(values, window)[0]
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), window
 
     @pytest.mark.parametrize("shape,radius", [("square", 0), ("square", 5), ("circle", 1), ("circle", 4)])
     def test_field_matches_pointwise(self, shape, radius):
         rng = np.random.default_rng(17)
         values = rng.integers(0, 30, size=(11, 13))
-        sat = build_sat(Grid(values))
         w = WindowSpec(shape, radius)
-        sums, counts = sums_and_counts(sat, w)
+        sums, counts = sums_and_counts(values, w)
         for i in range(11):
             for j in range(13):
                 assert (sums[i, j], counts[i, j]) == brute_window_sum(values, (i, j), w)
@@ -285,8 +298,7 @@ class TestWindowSumField:
     def test_field_float_accuracy(self):
         rng = np.random.default_rng(19)
         values = rng.normal(loc=1e6, scale=1.0, size=(15, 15))
-        sat = build_sat(Grid(values))
-        sums, counts = sums_and_counts(sat, WindowSpec("square", 5))
+        sums, counts = sums_and_counts(values, WindowSpec("square", 5))
         for i in range(15):
             for j in range(15):
                 want, wcount = brute_window_sum(values, (i, j), WindowSpec("square", 5))
@@ -296,8 +308,8 @@ class TestWindowSumField:
 
 def aggregate(grid, ladder):
     """(scales, rows, cols) stacks of window sums x and clipped counts m, one window at a time."""
-    sat = build_sat(grid)
-    x, m = zip(*(sums_and_counts(sat, w) for w in ladder.windows))
+    x = list(window_sums(grid.values, ladder.windows))
+    m = list(exposure_sums(None, grid.shape, ladder.windows))
     return np.stack(x), np.stack(m)
 
 
@@ -380,14 +392,6 @@ def test_grid_immutable_and_validated():
         Grid(np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         Grid(np.array([[np.nan]]))
-
-
-def test_rect_sum_is_summed_area_identity():
-    values = np.arange(12).reshape(3, 4)
-    sat = build_sat(Grid(values))
-    assert isinstance(sat, SummedAreaTable)
-    assert sat_rect_sum(sat, 0, 2, 0, 3) == values.sum()
-    assert sat_rect_sum(sat, 1, 1, 2, 2) == values[1, 2]
 
 
 def test_shifted_slices_pair_each_pixel_with_its_neighbor():

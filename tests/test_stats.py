@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcd.errors import ConfigurationError, DegenerateDataError, InvalidInputError
-from mcd.grid import Grid, ScaleLadder, build_sat, exposure_sums, window_sum_field
+from mcd.grid import Grid, ScaleLadder, exposure_sums, window_sums
 from mcd.stats import (
     FAMILIES,
     ModelSpec,
@@ -192,8 +192,7 @@ class TestEstimateScales:
         ladder = ScaleLadder.of("circle", [0, 1, 3])
         model = ModelSpec("poisson")
         null = estimate_null(Grid(y), model)
-        sat = build_sat(Grid(y))
-        x = np.stack([window_sum_field(sat, w) for w in ladder.windows])
+        x = np.stack(list(window_sums(y, ladder.windows)))
         m = np.stack(list(exposure_sums(None, y.shape, ladder.windows)))
         dx, dm = np.diff(x, axis=0, prepend=0), np.diff(m, axis=0, prepend=0)
         for pixel in [(0, 0), (5, 5), (9, 2)]:

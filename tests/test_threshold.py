@@ -1,10 +1,13 @@
 """Variability field, belt scan, and detection mask semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcd.baselines import circular_scan, pixel_pvalues
 from mcd.errors import InvalidInputError, NoSignalError
 from mcd.grid import CROSS_OFFSETS, Grid, ScaleLadder
 from mcd.stats import ModelSpec, StatField
@@ -296,3 +299,70 @@ def test_varfield_rejects_negative():
 def test_detection_result_shape():
     res = detect(make_stat(np.zeros((2, 2))), 1.0)
     assert res.detected_count == 0
+
+
+# counts the trials cannot hold, with the cause each command names
+BAD_BINOMIAL = {
+    "counts-above-trials": ((3, 3, 31), np.full((20, 20), 30), "counts exceed trials"),
+    "negative-count": ((3, 3, -1), np.full((20, 20), 30), "nonnegative integers"),
+    "trials-shape": (None, np.full((20, 21), 30), r"trials shape \(20, 21\) != grid shape"),
+    "zero-trials": (None, np.full((20, 20), 0), "trials must be integers >= 1"),
+    "non-integer-trials": (None, np.full((20, 20), 30.5), "trials must be integers >= 1"),
+}
+
+
+def bad_binomial_counts(cell):
+    counts = np.random.default_rng(5).binomial(30, 0.2, size=(20, 20))
+    if cell is not None:
+        counts[cell[:2]] = cell[2]
+    return counts
+
+
+@pytest.mark.parametrize("run", [
+    lambda grid, model: run_detection(grid, model),
+    lambda grid, model: pixel_pvalues(grid, model),
+    lambda grid, model: circular_scan(grid, model, radii=(1, 2), mc_reps=19),
+], ids=["run_detection", "pixel_pvalues", "circular_scan"])
+@pytest.mark.parametrize("case", sorted(BAD_BINOMIAL))
+def test_binomial_counts_the_trials_cannot_hold_are_refused(run, case):
+    cell, trials, cause = BAD_BINOMIAL[case]
+    with pytest.raises(InvalidInputError, match=cause):
+        run(Grid(bad_binomial_counts(cell)), ModelSpec("binomial", trials=Grid(trials)))
+
+
+def detection_inputs(n):
+    """Seeded n x n inputs of every family, with a raised block."""
+    rng = np.random.default_rng(600)
+    inside = np.zeros((n, n), dtype=bool)
+    inside[n // 4:n // 2, n // 4:3 * n // 4] = True
+    header = np.full((n, n), 100)  # what a rows,cols,trials header gives
+    per_cell = rng.integers(50, 150, size=(n, n))
+    return {
+        "binomial-header": (rng.binomial(header, np.where(inside, 0.3, 0.2)),
+                            ModelSpec("binomial", trials=Grid(header))),
+        "binomial-per-cell": (rng.binomial(per_cell, np.where(inside, 0.3, 0.2)),
+                              ModelSpec("binomial", trials=Grid(per_cell))),
+        "poisson": (rng.poisson(np.where(inside, 6.0, 4.0)), ModelSpec("poisson")),
+        "normal": (rng.normal(np.where(inside, 1.0, 0.0), 1.0), ModelSpec("normal")),
+    }
+
+
+# traced peak bytes per cell of a default 600x600 `run_detection`: the measured
+# 130.4, 139.7, 105.4 and 112.7, plus under 3, so one more field held across the
+# ladder (8 bytes per cell) fails
+PEAK_BYTES_PER_CELL = {"binomial-header": 133, "binomial-per-cell": 142, "poisson": 108,
+                       "normal": 115}
+
+
+def test_detection_peak_memory_per_cell():
+    n = 600
+    peaks = {}
+    for name, (values, model) in detection_inputs(n).items():
+        grid = Grid(values)
+        tracemalloc.start()
+        try:
+            run_detection(grid, model)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / (n * n)
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] <= PEAK_BYTES_PER_CELL[name] for name in peaks), peaks
