@@ -19,7 +19,7 @@ from .errors import (
 )
 from .grid import Grid
 from .gridio import read_grid_csv
-from .simulate import SimConfig, run_experiment, theorem1_check, theorem2_check
+from .simulate import SimConfig, run_experiment, theorem_checks
 from .stats import ModelSpec
 from .threshold import run_detection
 
@@ -41,6 +41,5 @@ __all__ = [
     "run_detection",
     "run_experiment",
     "storey_fdr",
-    "theorem1_check",
-    "theorem2_check",
+    "theorem_checks",
 ]

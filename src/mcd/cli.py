@@ -42,7 +42,7 @@ from .gridio import (
     write_prob_pgm,
 )
 from .shapes import SHAPE_KINDS
-from .simulate import roc_curve, simulate_grid, theorem1_check, theorem2_check
+from .simulate import roc_curve, simulate_grid, theorem_checks
 from .stats import ModelSpec, stat_field
 from .threshold import CONSTANT_FIELD, auto_min_belt_count, run_detection
 
@@ -281,43 +281,25 @@ def _cmd_fdr(args) -> int:
 
 # -------------------------------------------------------------- theorems
 
-def _report_dict(report) -> dict:
-    payload = {
-        "n_noise": report.n_noise,
-        "n_boundary": report.n_boundary,
-        "n_signal": report.n_signal,
-        "replicates": report.replicates,
-        "success_fraction": report.success_rate,
-    }
-    if report.ave_stat is not None:
-        payload["ave_stat"] = list(report.ave_stat)
-    if report.ave_var_boundary is not None:
-        payload.update(
-            ave_var_boundary=report.ave_var_boundary,
-            ave_var_rest=report.ave_var_rest,
-            vtilde_boundary=report.vtilde_boundary,
-            vtilde_expected=report.vtilde_expected,
-        )
-    return payload
-
-
 def _cmd_theorems(args) -> int:
-    seed = _resolve_seed(args.seed)
-    kwargs = dict(dims=args.dims, shape=args.shape, seed=seed, reps=args.reps,
-                  radius=args.radius)
-    t1 = theorem1_check(args.delta, **kwargs)
-    t2 = theorem2_check(args.delta, **kwargs)
+    report = theorem_checks(args.delta, dims=args.dims, shape=args.shape,
+                            seed=_resolve_seed(args.seed), reps=args.reps, radius=args.radius)
     if args.delta == 0:
         print("note: theorem hypotheses exclude delta = 0; "
               "reported fractions are chance-level baselines")
-    _write_json(
-        _out(args, "theorems.json"),
-        {"delta": args.delta, "theorem1": _report_dict(t1), "theorem2": _report_dict(t2)},
-    )
-    print(f"theorem1 ordering fraction: {t1.success_rate:.3f} "
-          f"(ave T: {t1.ave_stat[0]:.3f} < {t1.ave_stat[1]:.3f} < {t1.ave_stat[2]:.3f})")
-    print(f"theorem2 dominance fraction: {t2.success_rate:.3f} "
-          f"(Vtilde boundary {t2.vtilde_boundary:.3f} vs expected {t2.vtilde_expected:.3f})")
+    counts = {"n_noise": report.n_noise, "n_boundary": report.n_boundary,
+              "n_signal": report.n_signal, "replicates": report.replicates}
+    t1 = {**counts, "success_fraction": float(report.ordered.mean()),
+          "ave_stat": list(report.ave_stat)}
+    t2 = {**counts, "success_fraction": float(report.dominant.mean()),
+          "ave_var_boundary": report.ave_var_boundary, "ave_var_rest": report.ave_var_rest,
+          "vtilde_boundary": report.vtilde_boundary, "vtilde_expected": report.vtilde_expected}
+    _write_json(_out(args, "theorems.json"), {"delta": args.delta, "theorem1": t1, "theorem2": t2})
+    lo, mid, hi = report.ave_stat
+    print(f"theorem1 ordering fraction: {t1['success_fraction']:.3f} "
+          f"(ave T: {lo:.3f} < {mid:.3f} < {hi:.3f})")
+    print(f"theorem2 dominance fraction: {t2['success_fraction']:.3f} "
+          f"(Vtilde boundary {t2['vtilde_boundary']:.3f} vs expected {t2['vtilde_expected']:.3f})")
     return 0
 
 
@@ -389,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True, help="signal amplitude")
     p.add_argument("--reps", type=_positive_int, default=200)
     p.add_argument("--dims", type=_dims_arg, default=(100, 100), metavar="RxC")
-    p.add_argument("--shape", default="disc", choices=[k for k in SHAPE_KINDS if k != "custom"])
+    p.add_argument("--shape", default="disc", choices=SHAPE_KINDS)
     p.add_argument("--radius", type=float, default=None,
                    help="disc radius in cells (disc shape only)")
     p.set_defaults(func=_cmd_theorems)

@@ -30,8 +30,10 @@ def parse_dims(text: str) -> tuple[int, int]:
 def parse_ladder(text: str) -> ScaleLadder:
     """Ladder spec: ``two-scale``, ``five-scale``, or ``kind:radius,...``.
 
-    Example: ``square:0,circle:1`` is the cross-shaped pair used by the
-    theorem checks; ``square:0,square:5`` is the default pair.
+    Example: ``square:0,circle:1`` is the cross-shaped pair used by
+    `simulate.theorem_checks`; ``square:0,square:5`` is the default pair.
+    Radii must rise from 0 and each window must contain the one before,
+    so ``square:3,circle:4`` is refused: the corner (3, 3) lies outside.
     """
     name = text.strip().lower()
     if name in ("two-scale", "default"):

@@ -105,9 +105,10 @@ class WindowSpec:
 class ScaleLadder:
     """An increasing sequence of windows inducing nested regions per pixel.
 
-    The first window must have radius 0 (the pixel itself). Nesting is
-    validated row by row from the half-widths, so mixed square/circle
-    ladders are allowed as long as each window contains the previous one.
+    The first window must have radius 0 (the pixel itself). Mixed
+    square/circle ladders are allowed as long as each window contains the
+    previous one; radii increase, so only a square inside a circle can
+    fail, when its corner lies outside: 2 r_in**2 > r_out**2.
     """
 
     windows: tuple[WindowSpec, ...] = field(default=())
@@ -123,8 +124,8 @@ class ScaleLadder:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidInputError(f"ladder radii must be strictly increasing, got {radii}")
         for inner, w in zip(windows, windows[1:]):  # wider, so containment is strict
-            outer = dict(w.row_halfwidths(inner.radius + 1))
-            if any(hw > outer[di] for di, hw in inner.row_halfwidths()):
+            corner_out = 2 * inner.radius**2 > w.radius**2
+            if inner.shape == "square" and w.shape == "circle" and corner_out:
                 raise InvalidInputError(f"ladder windows must be strictly nested; "
                                         f"{w} does not contain its predecessor")
 

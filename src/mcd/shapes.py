@@ -1,9 +1,9 @@
 """Signal-region generators and the boundary partition.
 
-Shapes are fixed geometries rasterized onto the grid, parameterized as
-fractions of the grid dimensions so they scale. On a 100x100 grid the
-default pixel counts are: lshape 400, oval 1144, triangle 864, yshape
-1340, disc 1257.
+The shapes of `SHAPE_KINDS` are fixed geometries rasterized onto the
+grid, parameterized as fractions of the grid dimensions so they scale.
+On a 100x100 grid the default pixel counts are: lshape 400, oval 1144,
+triangle 864, yshape 1340, disc 1257.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .grid import CROSS_OFFSETS, shifted_slices
 
-SHAPE_KINDS = ("lshape", "oval", "triangle", "yshape", "disc", "custom")
+SHAPE_KINDS = ("lshape", "oval", "triangle", "yshape", "disc")
 
 
 def _index_grids(dims):
@@ -80,11 +80,10 @@ def _disc(dims, radius=None):
     return (rr - (rows - 1) / 2.0) ** 2 + (cc - (cols - 1) / 2.0) ** 2 <= radius**2
 
 
-def gen_shape(kind: str, dims=(100, 100), mask=None, radius=None) -> np.ndarray:
+def gen_shape(kind: str, dims=(100, 100), radius=None) -> np.ndarray:
     """Boolean signal mask for a named shape on a grid of at least 2x2 `dims`.
 
-    `custom` returns the provided mask verbatim (after validation); only
-    `disc` takes a radius, which defaults to a fifth of the shorter side.
+    Only `disc` takes a radius, which defaults to a fifth of the shorter side.
     """
     kind = str(kind).lower()
     if kind not in SHAPE_KINDS:
@@ -94,13 +93,6 @@ def gen_shape(kind: str, dims=(100, 100), mask=None, radius=None) -> np.ndarray:
         raise InvalidInputError(f"grid dims must be at least 2x2, got {rows}x{cols}")
     if radius is not None and kind != "disc":
         raise InvalidInputError(f"a radius applies to shape 'disc' only, not {kind!r}")
-    if kind == "custom":
-        if mask is None:
-            raise InvalidInputError("custom shape requires a mask")
-        out = np.asarray(mask, dtype=bool)
-        if out.shape != tuple(dims):
-            raise InvalidInputError(f"custom mask shape {out.shape} does not match dims {tuple(dims)}")
-        return out.copy()
     if kind == "disc":
         out = _disc(dims, radius=radius)
     else:

@@ -3,6 +3,7 @@
 Every output is a pure function of the configuration and seed: replicate
 r draws from a generator keyed by (seed, r), and summaries are ordered
 reductions over replicates, so execution order cannot change results.
+`theorem_checks` reads both theory checks off each replicate it draws.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class SimConfig:
     scan_radii: tuple[int, ...] = tuple(range(1, 21))
     scan_reps: int = 99
     cluster_alpha: float = 0.05
-    shape_mask: np.ndarray | None = None
     disc_radius: float | None = None
 
     def __post_init__(self):
@@ -68,8 +68,8 @@ class SimConfig:
                 f"poisson alt_param must be at most {POISSON_MAX_RATE:g}, got {self.alt_param}")
         if self.family == "binomial" and self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.replicates < 1:
-            raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
+        if self.replicates < 2:  # the summaries report a sample standard deviation
+            raise ConfigurationError(f"replicates must be >= 2, got {self.replicates}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(
@@ -106,7 +106,7 @@ class SimConfig:
                 raise ConfigurationError(f"scan_radii: {exc}") from None
 
     def truth_mask(self) -> np.ndarray:
-        return gen_shape(self.shape, self.dims, mask=self.shape_mask, radius=self.disc_radius)
+        return gen_shape(self.shape, self.dims, radius=self.disc_radius)
 
     def model(self) -> ModelSpec:
         trials = Grid(np.full(self.dims, self.trials)) if self.family == "binomial" else None
@@ -147,26 +147,23 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Monte Carlo record of one theorem check."""
+    """Monte Carlo record of both theorem checks over the same replicates."""
 
     n_noise: int
     n_boundary: int
     n_signal: int
     replicates: int
-    successes: np.ndarray  # per-replicate indicator
-    ave_stat: tuple[float, float, float] | None = None  # (noise, boundary, signal)
-    ave_var_boundary: float | None = None
-    ave_var_rest: float | None = None
-    vtilde_boundary: float | None = None
-    vtilde_expected: float | None = None
+    ordered: np.ndarray  # per-replicate theorem 1 indicator: noise < boundary < signal
+    dominant: np.ndarray  # per-replicate theorem 2 indicator: boundary V above the rest
+    ave_stat: tuple[float, float, float]  # (noise, boundary, signal)
+    ave_var_boundary: float
+    ave_var_rest: float
+    vtilde_boundary: float
+    vtilde_expected: float
 
     def __post_init__(self):
         if self.n_noise + self.n_boundary + self.n_signal <= 0:
             raise ConfigurationError("empty pixel partition")
-
-    @property
-    def success_rate(self) -> float:
-        return float(self.successes.mean())
 
 
 def simulate_grid(config: SimConfig, replicate_index: int):
@@ -216,8 +213,6 @@ def _detect_one(config: SimConfig, method: str, grid: Grid, model: ModelSpec,
 
 def run_experiment(config: SimConfig) -> ExperimentSummary:
     """Replicated detection with per-method metric summaries and maps."""
-    if config.replicates < 2:
-        raise ConfigurationError("run_experiment needs at least 2 replicates")
     truth = config.truth_mask()
     model = config.model()
     sens = {m: [] for m in config.methods}
@@ -277,77 +272,50 @@ def auc(points: np.ndarray) -> float:
     return float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
-def _theorem_setting(delta, dims, shape, mask, radius):
+def theorem_checks(delta: float, dims=(100, 100), shape: str = "disc", seed: int = 0,
+                   reps: int = 200, radius=None) -> TheoremReport:
+    """Both theory checks on the same replicates: normal data, unit noise.
+
+    Theorem 1: class averages of T on the cross-shaped ladder are ordered
+    noise < boundary < signal. Theorem 2: mean V is higher over boundary
+    cells than elsewhere; Vtilde = 4V over boundary cells is reported with
+    its expectation 4 + mean_k(k delta^2 - k^2 delta^2 / 5) over the shape's
+    boundary-type mix.
+    """
     # delta = 0 is allowed: the checks then measure the chance-level
     # baseline (the theorems' hypotheses exclude it, the machinery does not)
     if not 0 <= delta < np.inf:
         raise ConfigurationError(f"delta must be nonnegative and finite, got {delta}")
     try:
-        truth = gen_shape(shape, dims, mask=mask, radius=radius)
+        truth = gen_shape(shape, dims, radius=radius)
     except InvalidInputError as exc:
         raise ConfigurationError(str(exc)) from None
     noise_in, boundary, signal_in = boundary_partition(truth)
     if not boundary.any() or not noise_in.any() or not signal_in.any():
         raise ConfigurationError("degenerate partition: need noise, boundary, and signal cells")
     ladder = ScaleLadder((WindowSpec("square", 0), WindowSpec("circle", 1)))
-    return truth, noise_in, boundary, signal_in, ladder
-
-
-def theorem1_check(delta: float, dims=(100, 100), shape: str = "disc", seed: int = 0,
-                   reps: int = 200, mask=None, radius=None) -> TheoremReport:
-    """Ordering of class-average statistics: noise < boundary < signal.
-
-    Normal data, unit noise, the cross-shaped two-scale ladder. Reports
-    the fraction of replicates where the strict ordering holds.
-    """
-    truth, noise_in, boundary, signal_in, ladder = _theorem_setting(delta, dims, shape, mask, radius)
     model = ModelSpec("normal", sigma=1.0)
-    successes = np.zeros(reps, dtype=bool)
     aves = np.zeros((reps, 3))
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        values = model.sample(rng, truth * delta)
-        t = stat_field(Grid(values), model, ladder).values
-        aves[rep] = (t[noise_in].mean(), t[boundary].mean(), t[signal_in].mean())
-        successes[rep] = aves[rep, 0] < aves[rep, 1] < aves[rep, 2]
-    mean_aves = aves.mean(axis=0)
-    return TheoremReport(
-        n_noise=int(noise_in.sum()), n_boundary=int(boundary.sum()), n_signal=int(signal_in.sum()),
-        replicates=reps, successes=successes,
-        ave_stat=(float(mean_aves[0]), float(mean_aves[1]), float(mean_aves[2])),
-    )
-
-
-def theorem2_check(delta: float, dims=(100, 100), shape: str = "disc", seed: int = 0,
-                   reps: int = 200, mask=None, radius=None) -> TheoremReport:
-    """Boundary variability dominance, plus the noncentrality identity.
-
-    Success indicator per replicate: mean V over boundary cells exceeds
-    mean V elsewhere. Also accumulates the empirical mean of the scaled
-    variability Vtilde = 4V over boundary cells and its closed-form
-    expectation 4 + mean_k(k delta^2 - k^2 delta^2 / 5) over the shape's
-    boundary-type mix.
-    """
-    truth, noise_in, boundary, signal_in, _ = _theorem_setting(delta, dims, shape, mask, radius)
-    model = ModelSpec("normal", sigma=1.0)
-    successes = np.zeros(reps, dtype=bool)
     ave_b = np.zeros(reps)
     ave_rest = np.zeros(reps)
-    vtilde = np.zeros(reps)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        values = model.sample(rng, truth * delta)
-        v = neighborhood_variability(Grid(values), model).values
+        grid = Grid(model.sample(rng, truth * delta))
+        t = stat_field(grid, model, ladder).values
+        v = neighborhood_variability(grid, model).values
+        aves[rep] = (t[noise_in].mean(), t[boundary].mean(), t[signal_in].mean())
         ave_b[rep] = v[boundary].mean()
         ave_rest[rep] = v[~boundary].mean()
-        vtilde[rep] = 4.0 * ave_b[rep]
-        successes[rep] = ave_b[rep] > ave_rest[rep]
-    type_counts = boundary_type_counts(truth)
-    n_b = sum(type_counts.values())
-    c_bar = sum(cnt * (k * delta**2 - k**2 * delta**2 / 5.0) for k, cnt in type_counts.items()) / n_b
+    n_b = int(boundary.sum())
+    c_bar = sum(cnt * (k * delta**2 - k**2 * delta**2 / 5.0)
+                for k, cnt in boundary_type_counts(truth).items()) / n_b
+    mean_aves = aves.mean(axis=0)
     return TheoremReport(
-        n_noise=int(noise_in.sum()), n_boundary=int(boundary.sum()), n_signal=int(signal_in.sum()),
-        replicates=reps, successes=successes,
+        n_noise=int(noise_in.sum()), n_boundary=n_b, n_signal=int(signal_in.sum()),
+        replicates=reps,
+        ordered=(aves[:, 0] < aves[:, 1]) & (aves[:, 1] < aves[:, 2]),
+        dominant=ave_b > ave_rest,
+        ave_stat=(float(mean_aves[0]), float(mean_aves[1]), float(mean_aves[2])),
         ave_var_boundary=float(ave_b.mean()), ave_var_rest=float(ave_rest.mean()),
-        vtilde_boundary=float(vtilde.mean()), vtilde_expected=float(4.0 + c_bar),
+        vtilde_boundary=4.0 * float(ave_b.mean()), vtilde_expected=float(4.0 + c_bar),
     )

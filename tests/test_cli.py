@@ -340,6 +340,7 @@ class TestSimulate:
         ("cluster_alpha=0", "cluster_alpha"),
         ("shape=blob", "shape"),
         ("shape=custom", "shape"),
+        ("replicates=1", "replicates"),  # a sample standard deviation needs two
         ("disc_radius=0", "disc_radius"),
         ("shape=lshape", "disc_radius"),  # disc_radius = 6 stays in the manifest
         ("fdr_alpha=1.5", "fdr_alpha"),
@@ -378,6 +379,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
+
+    def test_one_replicate_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        from mcd import simulate
+
+        def no_work(*args):
+            raise AssertionError("a replicate was simulated before the manifest was checked")
+
+        monkeypatch.setattr(simulate, "simulate_grid", no_work)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", self.config(tmp_path), "--replicates", "1",
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "replicates must be >= 2, got 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dims, ladder", TOO_WIDE)
     def test_ladder_too_wide_for_dims_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
@@ -800,6 +815,11 @@ ARTIFACT_DIGESTS = {
         "roc_0.25.csv": "7e4c1945a5ccae85ce4db7ff8fa35b886ed602bf7bf160e5cec02d7e1e498753",
         "summary.json": "548693ba7a74c07266adbe43996a889d3ae7c8e2404c4750276aa1208a2c7b0a",
     },
+    # both success fractions (0.85 and 0.40) lie strictly inside (0, 1), so
+    # swapping the two checks' per-replicate indicators changes the bytes
+    "theorems": {
+        "theorems.json": "eb22da00b43b80ffc3903cbb3fa1b0e3c216eacbb48435782d2c7e63503da222",
+    },
 }
 
 
@@ -864,6 +884,7 @@ ARTIFACT_ARGV = {
                      "--mc-reps", "19", "--seed", "5", "--cluster-alpha", "0.5"),
     "simulate": ("simulate", "--config", "data/table2_lshape.cfg", "--set", "dims=40x40",
                  "--set", "methods=mcd,fdr", "--replicates", "3", "--seed", "11", "--roc", "20"),
+    "theorems": ("theorems", "--delta", "0.3", "--reps", "20", "--dims", "40x40", "--seed", "3"),
 }
 
 

@@ -137,6 +137,33 @@ class TestScaleLadder:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    def test_nesting_matches_offset_sets_exhaustively(self):
+        # every shape pair and radius pair up to 30, against set containment
+        shapes = ("square", "circle")
+        sets = {(k, r): window_offset_set(WindowSpec(k, r)) for k in shapes for r in range(31)}
+        for (kind_in, r_in), inner in sets.items():
+            for (kind_out, r_out), outer in sets.items():
+                if r_out <= r_in:
+                    continue
+                windows = ((WindowSpec("square", 0),) if r_in else ()) + (
+                    WindowSpec(kind_in, r_in), WindowSpec(kind_out, r_out))
+                if inner < outer:
+                    ScaleLadder(windows)
+                else:
+                    with pytest.raises(InvalidInputError, match="strictly nested"):
+                        ScaleLadder(windows)
+
+    def test_nesting_check_lists_no_window_rows(self):
+        # nesting is read from the radii, so a wide inner window costs nothing
+        tracemalloc.start()
+        try:
+            ladder = parse_ladder("square:0,square:3000000,square:3000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ladder.scale_count == 3
+        assert peak < 2**20
+
     def test_annulus_offsets_partition_window(self):
         ladder = ScaleLadder.five_scale()
         union = []

@@ -13,8 +13,7 @@ from mcd.simulate import (
     run_experiment,
     sensitivity_specificity,
     simulate_grid,
-    theorem1_check,
-    theorem2_check,
+    theorem_checks,
 )
 from mcd.stats import ModelSpec, stat_field
 from mcd.threshold import neighborhood_variability
@@ -151,7 +150,7 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_minimum_replicates(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="replicates must be >= 2, got 1"):
             run_experiment(small_config(replicates=1))
 
 
@@ -188,54 +187,52 @@ class TestRocCurve:
 
 class TestTheorem1:
     def test_ordering_holds_with_strong_signal(self):
-        report = theorem1_check(delta=3.0, dims=(40, 40), shape="disc", radius=9.0,
+        report = theorem_checks(delta=3.0, dims=(40, 40), shape="disc", radius=9.0,
                                 seed=1, reps=20)
-        assert report.success_rate >= 0.95
+        assert report.ordered.mean() >= 0.95
         ave_n, ave_b, ave_s = report.ave_stat
         assert ave_n < ave_b < ave_s
 
     def test_partition_counts_consistent(self):
-        report = theorem1_check(delta=1.0, dims=(30, 30), shape="disc", radius=7.0,
+        report = theorem_checks(delta=1.0, dims=(30, 30), shape="disc", radius=7.0,
                                 seed=2, reps=5)
         assert report.n_noise + report.n_boundary + report.n_signal == 900
         assert 0.0 < report.n_boundary / 900 < 0.5
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigurationError):
-            theorem1_check(delta=-1.0, dims=(20, 20), shape="disc", radius=5.0, reps=2)
+            theorem_checks(delta=-1.0, dims=(20, 20), shape="disc", radius=5.0, reps=2)
 
     def test_zero_delta_runs_at_chance(self):
         # without signal the three class averages are exchangeable, so the
         # strict ordering holds ~1/6 of the time, far from the >=95% regime
-        report = theorem1_check(delta=0.0, dims=(30, 30), shape="disc", radius=7.0,
+        report = theorem_checks(delta=0.0, dims=(30, 30), shape="disc", radius=7.0,
                                 seed=11, reps=60)
-        assert 0.0 <= report.success_rate < 0.6
+        assert 0.0 <= report.ordered.mean() < 0.6
 
     def test_degenerate_partition_rejected(self):
-        # a mask covering everything except one row leaves no noise interior
-        mask = np.ones((10, 10), dtype=bool)
-        mask[0, :] = False
-        with pytest.raises(ConfigurationError):
-            theorem1_check(delta=1.0, dims=(10, 10), shape="custom", mask=mask, reps=2)
+        # on a 20x20 grid the y-shape's arms are all boundary: no signal interior
+        with pytest.raises(ConfigurationError, match="degenerate partition"):
+            theorem_checks(delta=1.0, dims=(20, 20), shape="yshape", reps=2)
 
 
 class TestTheorem2:
     def test_boundary_variability_dominates(self):
-        report = theorem2_check(delta=2.0, dims=(40, 40), shape="disc", radius=9.0,
+        report = theorem_checks(delta=2.0, dims=(40, 40), shape="disc", radius=9.0,
                                 seed=3, reps=20)
-        assert report.success_rate >= 0.95
+        assert report.dominant.mean() >= 0.95
         assert report.ave_var_boundary > report.ave_var_rest
 
     def test_vtilde_matches_noncentral_expectation(self):
-        report = theorem2_check(delta=1.5, dims=(50, 50), shape="disc", radius=12.0,
+        report = theorem_checks(delta=1.5, dims=(50, 50), shape="disc", radius=12.0,
                                 seed=4, reps=200)
         se = 4.0 * np.sqrt(2.0 / (report.n_boundary * report.replicates))  # rough scale
         assert report.vtilde_boundary == pytest.approx(report.vtilde_expected, abs=10 * se)
 
     def test_zero_delta_no_dominance(self):
-        report = theorem2_check(delta=0.0, dims=(30, 30), shape="disc", radius=7.0,
+        report = theorem_checks(delta=0.0, dims=(30, 30), shape="disc", radius=7.0,
                                 seed=13, reps=100)
-        assert 0.25 < report.success_rate < 0.75
+        assert 0.25 < report.dominant.mean() < 0.75
         assert report.vtilde_expected == pytest.approx(4.0)
 
     def test_single_k2_cell_closed_form(self):

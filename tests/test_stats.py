@@ -404,6 +404,25 @@ class TestZeroOnClip:
             assert not np.signbit(field.values[zeros]).any(), field.model.family
 
 
+def random_family_data(family, rows, cols, rng):
+    """Values, trials (Binomial) and sigma (Normal) with per-cell rates or means."""
+    trials = sigma = None
+    if family == "binomial":
+        trials = rng.integers(1, 40, size=(rows, cols))
+        y = rng.binomial(trials, rng.uniform(0.05, 0.95, size=(rows, cols)))
+    elif family == "poisson":
+        y = rng.poisson(rng.uniform(1.0, 8.0, size=(rows, cols)))
+        assume(np.median(y) > 0)  # a null rate of 0 admits no likelihood ratio
+    else:
+        sigma = float(rng.uniform(0.5, 2.0))
+        y = rng.normal(rng.uniform(-1.0, 1.0, size=(rows, cols)), sigma)
+    return y, trials, sigma
+
+
+def family_model(family, trials, sigma):
+    return ModelSpec(family, trials=None if trials is None else Grid(trials), sigma=sigma)
+
+
 @given(
     family=st.sampled_from(FAMILIES),
     rows=st.integers(6, 9),  # at least twice the largest radius: no annulus clips to empty
@@ -413,21 +432,69 @@ class TestZeroOnClip:
 )
 @settings(max_examples=30, deadline=None)
 def test_stat_field_matches_oracle_property(family, rows, cols, ladder, seed):
-    rng = np.random.default_rng(seed)
-    trials = sigma = None
-    if family == "binomial":
-        trials = rng.integers(1, 40, size=(rows, cols))
-        y = rng.binomial(trials, rng.uniform(0.05, 0.95, size=(rows, cols)))
-    elif family == "poisson":
-        y = rng.poisson(rng.uniform(1.0, 8.0, size=(rows, cols)))
-        assume(np.median(y) > 0)
-    else:
-        sigma = float(rng.uniform(0.5, 2.0))
-        y = rng.normal(rng.uniform(-1.0, 1.0, size=(rows, cols)), sigma)
-    model = ModelSpec(family, trials=None if trials is None else Grid(trials), sigma=sigma)
-    field = stat_field(Grid(y), model, ladder)
+    y, trials, sigma = random_family_data(family, rows, cols, np.random.default_rng(seed))
+    field = stat_field(Grid(y), family_model(family, trials, sigma), ladder)
     want = oracle_stat_grid(y, family, ladder, trials=trials, sigma=sigma)
     np.testing.assert_allclose(field.values, want, rtol=1e-9, atol=1e-9)
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_estimate_null_invariant_under_cell_permutation(family, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    y, trials, sigma = random_family_data(family, rows, cols, rng)
+    order = rng.permutation(rows * cols)
+
+    def permuted(a):
+        return None if a is None else a.ravel()[order].reshape(rows, cols)
+
+    want = estimate_null(Grid(y), family_model(family, trials, sigma))
+    got = estimate_null(Grid(permuted(y)), family_model(family, permuted(trials), sigma))
+    assert got.hex() == want.hex()
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    ladder=ladders(max_radius=3),
+    extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    shift=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    known_sigma=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_stat_is_translation_equivariant(family, ladder, extra, shift, known_sigma, seed):
+    # T at a pixel reads its widest window plus grid-wide estimates that no
+    # permutation changes, so a pixel whose widest window lies inside the grid
+    # before and after np.roll keeps its T. Sides of 4 * reach + 2 or more
+    # leave some pixel inside in both positions
+    reach = ladder.windows[-1].radius
+    rows, cols = 4 * reach + 2 + extra[0], 4 * reach + 2 + extra[1]
+    y, trials, sigma = random_family_data(family, rows, cols, np.random.default_rng(seed))
+    if not known_sigma:
+        sigma = None  # the robust estimate for Normal; unused otherwise
+
+    def stat(roll):
+        moved = [None if a is None else np.roll(a, roll, (0, 1)) for a in (y, trials)]
+        return stat_field(Grid(moved[0]), family_model(family, moved[1], sigma), ladder).values
+
+    def inside(n, step):
+        i = np.arange(n)
+        ok = (i >= reach) & (i < n - reach)
+        return ok & ok[(i + step) % n]
+
+    keep = np.outer(inside(rows, shift[0]), inside(cols, shift[1]))
+    assert keep.any()
+    want = stat((0, 0))[keep]
+    got = np.roll(stat(shift), (-shift[0], -shift[1]), (0, 1))[keep]
+    if family == "normal":  # real sums; seen bit-equal too on these grids
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:  # integer window sums are exact, so T is too
+        np.testing.assert_array_equal(got, want)
 
 
 def test_adjusted_proportions_strictly_inside_unit_interval():
